@@ -869,7 +869,7 @@ SkewPosixResult run_skew_posix_drain(const SkewConfig& cfg,
   options.steal = true;
   options.steal_threshold = cfg.steal_threshold;
   server.set_worker_count(cfg.workers, options);
-  server.set_idle_hook([&queue] { return queue.try_drain_one(); });
+  server.set_idle_hook([&queue] { return queue.drain_some(1) > 0; });
 
   std::vector<std::byte> image(pcfg.image_bytes);
   Rng rng(0xBEEF);

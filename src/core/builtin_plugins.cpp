@@ -46,11 +46,17 @@ std::unique_ptr<Plugin> make_plugin(
     const std::string& name, const std::map<std::string, std::string>& params) {
   register_builtin_plugins();
   Registry& r = registry();
-  MutexLock lock(r.mutex);
-  auto it = r.factories.find(name);
-  if (it == r.factories.end())
-    throw ConfigError("unknown plugin '" + name + "'");
-  return it->second(params);
+  PluginFactory factory;
+  {
+    MutexLock lock(r.mutex);
+    auto it = r.factories.find(name);
+    if (it == r.factories.end())
+      throw ConfigError("unknown plugin '" + name + "'");
+    factory = it->second;
+  }
+  // Invoked unlocked: a factory may itself call make_plugin (a wrapper
+  // plugin delegating to a built-in one).
+  return factory(params);
 }
 
 bool plugin_registered(const std::string& name) {

@@ -59,11 +59,10 @@ void Server::run() {
       // sleeping, overlapping drain with event waits.  The pool, not the
       // iteration-completing worker, is the drain bandwidth here — see
       // complete_iteration().
-      if (node_->write_behind != nullptr) {
-        idle_drain_active_ = true;
-        transport_->set_idle_hook(
-            [wb = node_->write_behind.get()] { return wb->try_drain_one(); });
-      }
+      if (node_->write_behind != nullptr)
+        transport_->set_idle_hook([wb = node_->write_behind.get()] {
+          return wb->drain_some(1) > 0;
+        });
       std::vector<WorkerLedger> ledgers(
           static_cast<std::size_t>(worker_count_));
       std::vector<std::thread> pool;
@@ -308,7 +307,7 @@ void Server::complete_iteration(Iteration iteration) {
   // event stream, so drain overlaps intake rather than stalling it.  A
   // small batch keeps the single-worker loop from absorbing the whole
   // backlog while events queue up.
-  if (node_->write_behind != nullptr && !idle_drain_active_)
+  if (node_->write_behind != nullptr && worker_count_ == 1)
     node_->write_behind->drain_some(4);
 
   DEDICORE_LOG(kDebug) << "node " << node_->node_id << " server "

@@ -190,12 +190,6 @@ class Server {
   /// it between events so the pool winds down without another blocking
   /// next_event() on an already-finished stream.
   std::atomic<bool> done_{false};
-  /// True when the pooled transport's idle hook drains write-behind jobs
-  /// (then complete_iteration skips its inline drain — idle workers own
-  /// the disk, the completing worker returns to the event stream).
-  /// Written once in run() before the pool spawns, immutable after — no
-  /// lock needed.
-  bool idle_drain_active_ = false;
 
   // Iteration bookkeeping: iteration -> the client sources that closed it
   // (end or skip).  Sets rather than counts so a client's death can be

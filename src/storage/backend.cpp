@@ -1,5 +1,6 @@
 #include "storage/backend.hpp"
 
+#include <memory>
 #include <string_view>
 
 namespace dedicore::storage {
@@ -31,6 +32,31 @@ Status write_image(StorageBackend& backend, const std::string& path,
   const Status closed = backend.close(file);
   if (!wrote.is_ok()) return wrote;
   return closed;
+}
+
+std::uint64_t WritePlan::bytes() const noexcept {
+  std::uint64_t total = 0;
+  for (const WritePart& part : parts) total += part.bytes;
+  return total;
+}
+
+Status WritePlan::run() const {
+  for (const WritePart& part : parts)
+    if (Status st = part.run(nullptr); !st.is_ok()) return st;
+  return commit ? commit() : Status::ok();
+}
+
+WritePlan StorageBackend::plan_write(const std::string& path,
+                                     std::vector<std::byte> image,
+                                     int stripe_count) {
+  const std::uint64_t bytes = image.size();
+  auto owned = std::make_shared<const std::vector<std::byte>>(std::move(image));
+  WritePlan plan;
+  plan.parts.push_back(
+      {bytes, [this, path, stripe_count, owned](double* seconds) {
+         return write_image(*this, path, *owned, stripe_count, seconds);
+       }});
+  return plan;
 }
 
 }  // namespace dedicore::storage

@@ -26,9 +26,18 @@
 //     in a hidden temp, close() fsyncs and atomically renames it into
 //     place, and a startup recovery scan quarantines torn temps — readers
 //     never observe a partially written image.
+//
+// Whole images also have a second, schedulable entry point: plan_write()
+// turns one image into a WritePlan — parts any thread may run in any
+// order, plus an optional commit that runs once after every part
+// succeeded.  The default plan is a single part calling write_image (sim,
+// posix); ShardedBackend plans one part per chunk and commits by
+// publishing the manifest.  WriteBehind schedules plans without knowing
+// which backend made them; a synchronous caller runs one inline.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,6 +60,29 @@ struct FileHandle {
 /// bytes_written) to be identical across backends for the same workload;
 /// write_seconds is modelled time for SimBackend and wall time for
 /// PosixBackend.
+/// One independently runnable slice of an image write.  `run` writes it
+/// (retry-safe: a failed part may be run again) and reports its stall in
+/// `*seconds` when non-null; `bytes` is the slice's share of the image.
+struct WritePart {
+  std::uint64_t bytes = 0;
+  std::function<Status(double* seconds)> run;
+};
+
+/// An image write cut into parts: every part may run on any thread in any
+/// order, and `commit` (optional) runs once, after every part succeeded —
+/// it is what makes the image visible when the parts alone do not.  A plan
+/// owns the image, so it may run long after plan_write returned (the
+/// backend must outlive it).  Always at least one part.
+struct WritePlan {
+  std::vector<WritePart> parts;
+  std::function<Status()> commit;
+
+  [[nodiscard]] std::uint64_t bytes() const noexcept;
+  /// Runs the plan inline: parts in order until the first failure, then
+  /// the commit.  Returns the first failing Status.
+  Status run() const;
+};
+
 struct StorageStats {
   std::uint64_t files_created = 0;
   std::uint64_t writes = 0;
@@ -110,6 +142,14 @@ class StorageBackend {
   [[nodiscard]] virtual std::size_t file_count() const = 0;
 
   [[nodiscard]] virtual StorageStats stats() const = 0;
+
+  /// Plans the write of a whole image, taking ownership of it.  Layout
+  /// decisions (if any) are made here, at plan time, so they follow the
+  /// order of plan_write calls however the parts are later scheduled.
+  /// Default: one part that runs write_image.
+  [[nodiscard]] virtual WritePlan plan_write(const std::string& path,
+                                             std::vector<std::byte> image,
+                                             int stripe_count = 0);
 };
 
 /// The h5lite builder's emit path: create + append + close in one step —

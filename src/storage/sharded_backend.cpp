@@ -196,22 +196,38 @@ std::uint64_t ShardedBackend::next_generation(const std::string& path) {
   return it->second;
 }
 
-std::shared_ptr<ChunkPlan> ShardedBackend::plan_image(
-    const std::string& path, std::span<const std::byte> image) {
-  auto plan = std::make_shared<ChunkPlan>();
-  plan->path = path;
-  plan->generation = next_generation(path);
-  plan->total_bytes = image.size();
-  plan->chunk_size = options_.chunk_size;
-  plan->replication = options_.replication;
-  for (std::uint64_t off = 0; off < image.size();
-       off += options_.chunk_size) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(options_.chunk_size, image.size() - off);
-    plan->sizes.push_back(n);
-    plan->crcs.push_back(crc32c(image.subspan(off, n)));
-  }
-  plan->placements = placement_->place(path, plan->sizes);
+WritePlan ShardedBackend::plan_write(const std::string& path,
+                                     std::vector<std::byte> image,
+                                     int /*stripe_count: fsim's hint*/) {
+  auto layout = std::make_shared<ChunkPlan>();
+  layout->path = path;
+  layout->generation = next_generation(path);
+  layout->total_bytes = image.size();
+  layout->chunk_size = options_.chunk_size;
+  layout->replication = options_.replication;
+  for (std::uint64_t off = 0; off < image.size(); off += options_.chunk_size)
+    layout->sizes.push_back(
+        std::min<std::uint64_t>(options_.chunk_size, image.size() - off));
+  layout->crcs.resize(layout->sizes.size());
+  layout->placements = placement_->place(path, layout->sizes);
+
+  // Parts read spans of one shared image — no per-chunk copies — and each
+  // writes only its own crcs[i]; the commit reads them after every part
+  // finished.
+  auto owned = std::make_shared<const std::vector<std::byte>>(std::move(image));
+  WritePlan plan;
+  for (std::size_t i = 0; i < layout->chunk_count(); ++i)
+    plan.parts.push_back(
+        {layout->sizes[i], [this, layout, owned, i](double* seconds) {
+           const auto chunk = std::span<const std::byte>(*owned).subspan(
+               layout->offset_of(i), layout->sizes[i]);
+           layout->crcs[i] = crc32c(chunk);
+           return write_chunk(*layout, i, chunk, seconds);
+         }});
+  // An empty image has no chunks: only the manifest makes it visible.
+  if (plan.parts.empty())
+    plan.parts.push_back({0, [](double*) { return Status::ok(); }});
+  plan.commit = [this, layout] { return publish_manifest(*layout); };
   return plan;
 }
 
@@ -222,6 +238,7 @@ Status ShardedBackend::write_chunk(const ChunkPlan& plan, std::size_t index,
                  "ShardedBackend::write_chunk: chunk index out of range");
   DEDICORE_CHECK(chunk.size() == plan.sizes[index],
                  "ShardedBackend::write_chunk: slice does not match plan");
+  Stopwatch timer;
   const std::string name = chunk_name(plan.path, index);
   Status first_error;
   std::size_t landed = 0;
@@ -239,6 +256,7 @@ Status ShardedBackend::write_chunk(const ChunkPlan& plan, std::size_t index,
   }
   if (seconds != nullptr) *seconds = stall;
   MutexLock lock(mutex_);
+  stats_.write_seconds += timer.elapsed_seconds();
   counters_.chunks_written += landed;
   if (landed == 0) return first_error;  // all replicas failed: retryable
   if (landed < plan.placements[index].roots.size()) {
@@ -264,6 +282,7 @@ std::vector<int> ShardedBackend::manifest_roots(const ChunkPlan& plan) const {
 }
 
 Status ShardedBackend::publish_manifest(const ChunkPlan& plan) {
+  Stopwatch timer;
   const std::string text = serialize_manifest(plan);
   const auto bytes = std::as_bytes(std::span<const char>(text));
   const std::string name = manifest_name(plan.path);
@@ -297,6 +316,10 @@ Status ShardedBackend::publish_manifest(const ChunkPlan& plan) {
         targets.end())
       roots_[i]->remove_file(name);
   MutexLock lock(mutex_);
+  stats_.write_seconds += timer.elapsed_seconds();
+  // The image is visible now: count it once, whichever path wrote it.
+  ++stats_.files_created;
+  stats_.bytes_written += plan.total_bytes;
   ++counters_.manifests_published;
   if (landed < targets.size()) {
     // Visible but under-replicated: surfaced like degraded_chunk_writes
@@ -316,7 +339,6 @@ Status ShardedBackend::create(const std::string& path, FileHandle* out,
   MutexLock lock(mutex_);
   const std::uint64_t id = next_id_++;
   open_.emplace(id, std::move(image));
-  ++stats_.files_created;
   *out = FileHandle{id};
   return Status::ok();
 }
@@ -389,11 +411,11 @@ Status ShardedBackend::stage(FileHandle handle, bool append,
               image->buffer.begin() + static_cast<std::ptrdiff_t>(offset));
   }
   // Staging is memory-speed; the disk stall happens at close/publication
-  // (accounted in write_seconds there).
+  // (accounted in write_seconds there, with the image's files_created and
+  // bytes_written).
   if (seconds != nullptr) *seconds = 0.0;
   MutexLock lock(mutex_);
   ++stats_.writes;
-  stats_.bytes_written += bytes.size();
   return Status::ok();
 }
 
@@ -410,19 +432,7 @@ Status ShardedBackend::close(FileHandle handle) {
     open_.erase(it);
   }
   MutexLock io(image->io_mutex);
-  Stopwatch timer;
-  const auto plan = plan_image(image->path, image->buffer);
-  Status result;
-  for (std::size_t i = 0; result.is_ok() && i < plan->chunk_count(); ++i)
-    result = write_chunk(
-        *plan, i,
-        std::span<const std::byte>(image->buffer)
-            .subspan(plan->offset_of(i), plan->sizes[i]));
-  if (result.is_ok()) result = publish_manifest(*plan);
-  const double elapsed = timer.elapsed_seconds();
-  MutexLock lock(mutex_);
-  stats_.write_seconds += elapsed;
-  return result;
+  return plan_write(image->path, std::move(image->buffer)).run();
 }
 
 Status ShardedBackend::load_manifest(const std::string& path,

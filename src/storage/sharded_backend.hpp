@@ -53,12 +53,13 @@
 // replica (a *degraded read*, counted), and only when every copy of some
 // chunk is gone or corrupt does the read fail with kDataLoss.
 //
-// Write paths.  The synchronous path (write_image -> create/write/close)
-// and the write-behind path share the same three-step chunk API:
-// `plan_image` (chunking + placement + CRCs, decided atomically at plan
-// time so layouts are deterministic regardless of drain order), then one
-// `write_chunk` per stripe (independent jobs — roots drain in parallel),
-// then `publish_manifest` once every chunk landed.
+// Write paths.  Both go through one plan: plan_write freezes the layout
+// (generation, chunking, placement) and returns one part per chunk — each
+// computes its chunk's CRC32C and writes every replica — plus a commit
+// that publishes the manifest.  WriteBehind runs the parts on whichever
+// drainers are free, so one image's chunks reach different roots in
+// parallel; the synchronous path (create/write/close) stages the image in
+// memory and close() runs its own plan inline.
 #pragma once
 
 #include <filesystem>
@@ -85,8 +86,8 @@ struct ShardedOptions {
 };
 
 /// One image's frozen layout: chunk sizes, CRCs, and chunk -> root map.
-/// Produced by plan_image, consumed by write_chunk/publish_manifest (and
-/// by the manifest parser on the read side).
+/// Produced by plan_write (each part fills in its own chunk's CRC), and by
+/// the manifest parser on the read side.
 struct ChunkPlan {
   std::string path;
   /// Monotonic per-image overwrite counter; readers pick the manifest
@@ -153,29 +154,22 @@ class ShardedBackend final : public StorageBackend {
   [[nodiscard]] std::uint64_t file_size(const std::string& path) const override;
   [[nodiscard]] std::vector<std::string> list_files() const override;
   [[nodiscard]] std::size_t file_count() const override;
-  /// Logical stats: one files_created per image, bytes_written of image
-  /// bytes (not replica bytes) — so the conformance counters match the
-  /// sim/posix backends for the same workload.  Per-root physical stats:
-  /// root_stats().
+  /// Logical stats: files_created and bytes_written count each published
+  /// image once, at its full size (not replica bytes), whichever path
+  /// wrote it; writes counts staging write()/pwrite() calls — so the
+  /// conformance counters match the sim/posix backends for the same
+  /// workload.  Per-root physical stats: root_stats().
   [[nodiscard]] StorageStats stats() const override;
 
-  // -- chunk-granular write API (sync close() and WriteBehind share it) ---
-  /// Freezes the layout of one image: split into chunks, CRC each, place
-  /// across roots.  Placement state (balanced bytes-outstanding) advances
+  /// Freezes the layout of one image: generation, chunk sizes, and
+  /// placement.  Placement state (balanced bytes-outstanding) advances
   /// here, atomically per image, so twin runs that plan the same sequence
-  /// get identical layouts no matter how drains interleave later.
-  [[nodiscard]] std::shared_ptr<ChunkPlan> plan_image(
-      const std::string& path, std::span<const std::byte> image);
-  /// Writes chunk `index` (all replicas) per the plan.  Ok when at least
-  /// one replica landed (fewer than planned = degraded, logged + counted);
-  /// kIoError only when every replica failed — transient, so WriteBehind
-  /// retries it.  `chunk` must be exactly the planned slice.
-  Status write_chunk(const ChunkPlan& plan, std::size_t index,
-                     std::span<const std::byte> chunk,
-                     double* seconds = nullptr);
-  /// Publishes the manifest (the image becomes visible); call only after
-  /// every chunk landed.  Replicated onto `replication` distinct roots.
-  Status publish_manifest(const ChunkPlan& plan);
+  /// get identical layouts no matter how the parts run later.  Part i
+  /// CRCs and writes chunk i (all replicas) straight out of the owned
+  /// image; the commit publishes the manifest.
+  [[nodiscard]] WritePlan plan_write(const std::string& path,
+                                     std::vector<std::byte> image,
+                                     int stripe_count = 0) override;
 
   // -- verified read ------------------------------------------------------
   /// Reassembles `path`, verifying every chunk CRC.  kNotFound when no
@@ -223,6 +217,15 @@ class ShardedBackend final : public StorageBackend {
   /// root) can never shadow newer data.  kNotFound when none exists
   /// anywhere; kDataLoss when every copy is malformed.
   Status load_manifest(const std::string& path, ChunkPlan* out) const;
+  /// Writes chunk `index` (all replicas) per the plan.  Ok when at least
+  /// one replica landed (fewer than planned = degraded, logged + counted);
+  /// kIoError only when every replica failed — transient, so WriteBehind
+  /// retries it.  `chunk` must be exactly the planned slice.
+  Status write_chunk(const ChunkPlan& plan, std::size_t index,
+                     std::span<const std::byte> chunk, double* seconds);
+  /// Publishes the manifest (the image becomes visible); call only after
+  /// every chunk landed.  Replicated onto `replication` distinct roots.
+  Status publish_manifest(const ChunkPlan& plan);
   /// Roots that receive the manifest copies for this plan.
   [[nodiscard]] std::vector<int> manifest_roots(const ChunkPlan& plan) const;
   /// Shared staging step behind write()/pwrite(): copies `bytes` into the
@@ -245,7 +248,7 @@ class ShardedBackend final : public StorageBackend {
   /// Handle table + logical stats + counters.  stats() holds it across
   /// the per-root stats() calls, so the order sharded.state ->
   /// posix.handles is part of the storage hierarchy (and the staging
-  /// handle's sharded.image lock sits above both: close() drains chunks
+  /// handle's sharded.image lock sits above both: close() runs its plan
   /// while holding it).
   mutable Mutex mutex_{"sharded.state"};
   std::uint64_t next_id_ DEDICORE_GUARDED_BY(mutex_) = 1;

@@ -1,13 +1,25 @@
 #include "storage/write_behind.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
-#include "storage/sharded_backend.hpp"
 
 namespace dedicore::storage {
+
+/// One image in flight: its budget charge, the plan's commit, and the
+/// countdown of parts not yet written out.
+struct WriteBehind::Ticket {
+  std::string path;
+  std::uint64_t bytes = 0;  ///< budget charge, released by the last part
+  std::function<Status()> commit;
+  std::function<void(const Status&)> on_complete;
+  // Countdown state: touched only under callback_mutex_.
+  std::size_t remaining = 0;
+  Status first_error;
+};
 
 WriteBehind::WriteBehind(StorageBackend& backend, std::uint64_t budget_bytes,
                          int retries,
@@ -18,13 +30,15 @@ WriteBehind::WriteBehind(StorageBackend& backend, std::uint64_t budget_bytes,
       faults_(std::move(faults)) {
   DEDICORE_CHECK(budget_bytes_ > 0, "WriteBehind: budget must be positive");
   DEDICORE_CHECK(retries_ >= 1, "WriteBehind: retry budget must be >= 1");
-  // A sharded backend turns image jobs into chunk jobs (see enqueue), so
-  // concurrent drainers spread one image's chunks across roots in
-  // parallel instead of serializing the whole image on one thread.
-  sharded_ = dynamic_cast<ShardedBackend*>(&backend_);
 }
 
 WriteBehind::~WriteBehind() { close(); }
+
+bool WriteBehind::admits(std::uint64_t bytes) const {
+  // Admit when the budget has room — or when nothing is pending at all,
+  // so an oversized image is let in alone and can never wait on itself.
+  return pending_bytes_ + bytes <= budget_bytes_ || pending_bytes_ == 0;
+}
 
 void WriteBehind::enqueue(Job job) {
   // Injected producer stall (fault plans only): models a plugin that is
@@ -34,134 +48,52 @@ void WriteBehind::enqueue(Job job) {
     if (auto fired = faults_->fire("write_behind.enqueue_stall"))
       std::this_thread::sleep_for(std::chrono::microseconds(fired->magnitude));
   }
-  if (sharded_ != nullptr && !job.perform) {
-    enqueue_sharded(std::move(job));
-    return;
-  }
-  enqueue_one(std::move(job));
-}
-
-void WriteBehind::enqueue_sharded(Job job) {
-  // Freeze the layout now — placement advances in enqueue order, which is
-  // the producers' program order, so twin runs plan identical layouts no
-  // matter how the chunks later drain.
-  auto plan = sharded_->plan_image(job.path, job.image);
-  ShardedBackend* sharded = sharded_;
-  if (plan->chunk_count() == 0) {
-    // Empty image: no stripes, just the (visible-making) manifest.
-    Job only;
-    only.path = job.path;
-    only.perform = [sharded, plan](double* seconds) {
-      if (seconds != nullptr) *seconds = 0.0;
-      return sharded->publish_manifest(*plan);
-    };
-    only.on_complete = std::move(job.on_complete);
-    enqueue_one(std::move(only));
-    return;
-  }
-  // Slice the image into per-chunk buffers: each chunk job owns exactly
-  // its stripe, so its memory is returned the moment it drains and
-  // resident bytes track pending_bytes_.  (Sharing one full-image buffer
-  // across the chunk jobs would pin the whole image until its LAST chunk
-  // drains while the budget shares release per chunk — residency could
-  // overshoot budget_bytes by nearly a full image per in-flight image.)
-  std::vector<std::shared_ptr<const std::vector<std::byte>>> slices;
-  slices.reserve(plan->chunk_count());
-  for (std::size_t i = 0; i < plan->chunk_count(); ++i) {
-    const std::byte* base = job.image.data() + plan->offset_of(i);
-    slices.push_back(std::make_shared<const std::vector<std::byte>>(
-        base, base + plan->sizes[i]));
-  }
-  // Free the full image before admission — enqueue_one below can block on
-  // the budget (or drain jobs inline), and the image has been copied out.
-  job.image = std::vector<std::byte>();
-  // One queue entry per chunk, plus a shared countdown ticket.  The
-  // drainer that completes the last chunk publishes the manifest (still
-  // on a drainer thread, under the serialized-callback lock) and fires
-  // the producer's on_complete exactly once with the aggregate verdict.
-  // Any chunk failure — including a quarantined poison chunk — withholds
-  // the manifest, so readers never see a partially-written image.
-  struct Ticket {
-    std::size_t remaining = 0;
-    Status first_error;
-    std::function<void(const Status&)> on_complete;
-  };
+  // Plan now, outside every queue lock: the backend fixes any layout in
+  // enqueue order — the producers' program order — so twin runs plan
+  // identical layouts no matter how the parts later drain.
+  WritePlan plan = backend_.plan_write(job.path, std::move(job.image),
+                                       job.stripe_count);
   auto ticket = std::make_shared<Ticket>();
-  ticket->remaining = plan->chunk_count();
+  ticket->path = std::move(job.path);
+  ticket->bytes = plan.bytes();
+  ticket->commit = std::move(plan.commit);
   ticket->on_complete = std::move(job.on_complete);
-  for (std::size_t i = 0; i < plan->chunk_count(); ++i) {
-    Job chunk;
-    chunk.path = job.path + "#chunk-" + std::to_string(i);
-    chunk.charge_bytes = plan->sizes[i];
-    chunk.perform = [sharded, plan, slice = slices[i], i](double* seconds) {
-      return sharded->write_chunk(*plan, i,
-                                  std::span<const std::byte>(*slice),
-                                  seconds);
-    };
-    chunk.on_complete = [sharded, plan, ticket](const Status& st) {
-      // Serialized by callback_mutex_: the countdown and first_error need
-      // no extra synchronization.
-      if (!st.is_ok() && ticket->first_error.is_ok())
-        ticket->first_error = st;
-      if (--ticket->remaining != 0) return;
-      Status verdict = ticket->first_error;
-      if (verdict.is_ok())
-        verdict = sharded->publish_manifest(*plan);
-      else
-        DEDICORE_LOG(kError)
-            << "write-behind: withholding manifest for '" << plan->path
-            << "' after a chunk failure: " << verdict.to_string();
-      if (ticket->on_complete) ticket->on_complete(verdict);
-    };
-    enqueue_one(std::move(chunk));
-  }
-}
+  ticket->remaining = plan.parts.size();
 
-void WriteBehind::enqueue_one(Job job) {
   Stopwatch blocked;
   for (;;) {
-    UniqueLock lock(mutex_);
-    DEDICORE_CHECK(!closed_, "WriteBehind: enqueue after close");
-    // Admit when the budget has room — or when nothing is pending at all,
-    // so an oversized job is let in alone and can never wait on itself.
-    if (pending_bytes_ + job.bytes() <= budget_bytes_ ||
-        pending_bytes_ == 0) {
-      stats_.enqueue_block_seconds += blocked.elapsed_seconds();
-      pending_bytes_ += job.bytes();
-      stats_.max_pending_bytes =
-          std::max(stats_.max_pending_bytes, pending_bytes_);
-      ++stats_.jobs_enqueued;
-      stats_.bytes_enqueued += job.bytes();
-      queue_.push_back(std::move(job));
-      idle_.notify_all();  // a parked drain_all re-arms its pop loop
-      return;
+    {
+      UniqueLock lock(mutex_);
+      // Every pending byte is in flight on another drainer; those writes
+      // finish without any help from us — park until one returns budget.
+      while (!closed_ && !admits(ticket->bytes) && queue_.empty())
+        space_.wait(lock);
+      DEDICORE_CHECK(!closed_, "WriteBehind: enqueue after close");
+      if (admits(ticket->bytes)) {
+        stats_.enqueue_block_seconds += blocked.elapsed_seconds();
+        pending_bytes_ += ticket->bytes;
+        stats_.max_pending_bytes =
+            std::max(stats_.max_pending_bytes, pending_bytes_);
+        stats_.jobs_enqueued += plan.parts.size();
+        stats_.bytes_enqueued += ticket->bytes;
+        for (WritePart& part : plan.parts)
+          queue_.push_back(Entry{std::move(part), ticket});
+        idle_.notify_all();  // a parked drain_all re-arms its pop loop
+        return;
+      }
     }
-    if (!queue_.empty()) {
-      // Budget full with queued work: the producer becomes a drainer
-      // instead of parking.  This is what makes the queue deadlock-free
-      // by construction — the blocked producer may be the only thread
-      // that can reach a drain site (e.g. a plugin firing twice under
-      // the server's pipeline mutex), so it frees the budget itself.
-      // The stall is still real backpressure: the producer is doing disk
-      // time instead of completing its iteration.
-      Job head = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-      lock.unlock();
-      write_out(std::move(head));
-      continue;
-    }
-    // Every pending byte is in flight on another drainer; those writes
-    // finish without any help from us — park until one returns budget.
-    while (!closed_ && pending_bytes_ + job.bytes() > budget_bytes_ &&
-           pending_bytes_ != 0 && queue_.empty())
-      space_.wait(lock);
-    // Loop re-checks closed_ (fatal: enqueue-after-close) and re-evaluates
-    // admission/drain with the lock held.
+    // Budget full with queued work: the producer becomes a drainer
+    // instead of parking.  This is what makes the queue deadlock-free
+    // by construction — the blocked producer may be the only thread
+    // that can reach a drain site (e.g. a plugin firing twice under
+    // the server's pipeline mutex), so it frees the budget itself.
+    // The stall is still real backpressure: the producer is doing disk
+    // time instead of completing its iteration.
+    drain_some(1);
   }
 }
 
-bool WriteBehind::pop(Job* out) {
+bool WriteBehind::pop(Entry* out) {
   MutexLock lock(mutex_);
   if (queue_.empty()) return false;
   *out = std::move(queue_.front());
@@ -170,13 +102,13 @@ bool WriteBehind::pop(Job* out) {
   return true;
 }
 
-void WriteBehind::write_out(Job job) {
+void WriteBehind::write_out(Entry entry) {
+  Ticket& image = *entry.ticket;
   Stopwatch timer;
-  double write_seconds = 0.0;
   // Transient (kIoError) failures are retried with bounded exponential
   // backoff: 1 ms doubling to a 50 ms cap, at most `retries_` total
   // attempts.  Anything else — bad path, stale handle — is deterministic
-  // and fails immediately.  A job that exhausts the budget is poison:
+  // and fails immediately.  A part that exhausts the budget is poison:
   // dropped (callback still runs with the failure) so it can never wedge
   // drain_all, the idle hook, or shutdown.
   Status st;
@@ -185,19 +117,16 @@ void WriteBehind::write_out(Job job) {
   for (;;) {
     ++attempts;
     if (faults_ != nullptr && faults_->should_fire("write_behind.write"))
-      st = Status::io_error("write-behind '" + job.path + "': injected EIO");
-    else if (job.perform)
-      st = job.perform(&write_seconds);
+      st = Status::io_error("write-behind '" + image.path + "': injected EIO");
     else
-      st = write_image(backend_, job.path, job.image, job.stripe_count,
-                       &write_seconds);
+      st = entry.part.run(nullptr);
     if (st.is_ok() || st.code() != StatusCode::kIoError ||
         attempts >= retries_)
       break;
     ++retries_used;
     const std::int64_t backoff_ms =
         attempts >= 7 ? 50 : (std::int64_t{1} << (attempts - 1));
-    DEDICORE_LOG(kWarn) << "write-behind: transient failure on '" << job.path
+    DEDICORE_LOG(kWarn) << "write-behind: transient failure on '" << image.path
                         << "' (attempt " << attempts << "/" << retries_
                         << "): " << st.to_string() << "; retrying in "
                         << backoff_ms << "ms";
@@ -208,32 +137,48 @@ void WriteBehind::write_out(Job job) {
 
   if (quarantined)
     DEDICORE_LOG(kError) << "write-behind: quarantining poison job '"
-                         << job.path << "' after " << attempts
+                         << image.path << "' after " << attempts
                          << " attempt(s): " << st.to_string();
   else if (!st.is_ok())
-    DEDICORE_LOG(kError) << "write-behind: dropping '" << job.path
+    DEDICORE_LOG(kError) << "write-behind: dropping '" << image.path
                          << "': " << st.to_string();
-  if (job.on_complete) {
-    // Outside mutex_ (the callback may take producer locks) but
-    // serialized against other callbacks, so producers can account
-    // without guarding against concurrent drainers themselves.
+  bool last = false;
+  {
+    // Outside mutex_ (the commit and the callback take backend and
+    // producer locks) but serialized against other drainers' countdowns
+    // and callbacks, so producers can account without guarding against
+    // concurrent drainers themselves.
     MutexLock serialize(callback_mutex_);
-    job.on_complete(st);
+    if (!st.is_ok() && image.first_error.is_ok()) image.first_error = st;
+    last = --image.remaining == 0;
+    if (last) {
+      // Any failed part — including a quarantined poison one — withholds
+      // the commit, so an image is never visible half written.
+      Status verdict = image.first_error;
+      if (image.commit && verdict.is_ok())
+        verdict = image.commit();
+      else if (image.commit)
+        DEDICORE_LOG(kError) << "write-behind: withholding the commit of '"
+                             << image.path << "' after a part failure: "
+                             << verdict.to_string();
+      if (image.on_complete) image.on_complete(verdict);
+    }
   }
 
   MutexLock lock(mutex_);
-  // The job's budget share is released only now, after the backend call:
-  // in-flight images still occupy memory, so they must still count
-  // against the producers.
-  DEDICORE_CHECK(pending_bytes_ >= job.bytes(),
-                 "WriteBehind: pending-byte accounting underflow");
-  pending_bytes_ -= job.bytes();
+  // The image's budget charge is released only with its last part: until
+  // then the plan still holds the whole image in memory.
+  if (last) {
+    DEDICORE_CHECK(pending_bytes_ >= image.bytes,
+                   "WriteBehind: pending-byte accounting underflow");
+    pending_bytes_ -= image.bytes;
+  }
   --in_flight_;
   stats_.drain_seconds += drained_in;
   stats_.retries += retries_used;
   if (st.is_ok()) {
     ++stats_.jobs_written;
-    stats_.bytes_written += job.bytes();
+    stats_.bytes_written += entry.part.bytes;
   } else {
     ++stats_.jobs_failed;
     if (quarantined) ++stats_.jobs_quarantined;
@@ -244,49 +189,36 @@ void WriteBehind::write_out(Job job) {
 
 std::size_t WriteBehind::drain_some(std::size_t max_jobs) {
   std::size_t written = 0;
-  Job job;
-  while (written < max_jobs && pop(&job)) {
-    write_out(std::move(job));
+  Entry entry;
+  while (written < max_jobs && pop(&entry)) {
+    write_out(std::move(entry));
+    entry = Entry{};
     ++written;
-    job = Job{};
   }
   return written;
 }
 
-bool WriteBehind::try_drain_one() {
-  Job job;
-  if (!pop(&job)) return false;
-  write_out(std::move(job));
-  return true;
-}
-
 void WriteBehind::drain_all() {
   for (;;) {
-    Job job;
-    while (pop(&job)) {
-      write_out(std::move(job));
-      job = Job{};
-    }
-    // Jobs another drainer popped may still be mid-write: wait them out,
+    drain_some(SIZE_MAX);
+    // Parts another drainer popped may still be mid-write: wait them out,
     // so a caller returning from drain_all knows every enqueued image has
     // been attempted and its completion callback has run — a server's
     // shutdown drain must not let a sibling's in-flight write outlive the
-    // run.  A producer that slips a new job in meanwhile (another server
-    // of the node still finishing) re-arms the pop loop instead of being
-    // waited on forever.
+    // run.  A producer that slips a new image in meanwhile (another
+    // server of the node still finishing) re-arms the pop loop instead of
+    // being waited on forever.
     UniqueLock lock(mutex_);
     while (queue_.empty() && in_flight_ != 0) idle_.wait(lock);
-    if (queue_.empty() && in_flight_ == 0) return;
+    if (queue_.empty()) return;
   }
 }
 
 void WriteBehind::close() {
   {
+    // Idempotent: a repeated close still runs the final drain below (a
+    // racing enqueue cannot exist — enqueue after close is fatal).
     MutexLock lock(mutex_);
-    if (closed_) {
-      // Idempotent close still owes a final drain below (a racing enqueue
-      // cannot exist: producers crash on enqueue-after-close).
-    }
     closed_ = true;
     space_.notify_all();
   }

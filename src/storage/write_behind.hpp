@@ -11,6 +11,13 @@
 // reaches the clients.  A slow disk therefore backs up into the same
 // flow-control machinery as a slow plugin, instead of silently growing an
 // unbounded buffer or stalling clients on every write.
+//
+// The queue knows no backend types.  enqueue() asks the backend for a
+// WritePlan and queues its parts; any drainer may run any part.  A per-
+// image countdown runs the plan's commit once the last part succeeded,
+// then the producer's on_complete — so a sharded image's chunks spread
+// over concurrent drainers and its manifest is published exactly once,
+// while a posix or sim image is simply one part.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +34,8 @@
 
 namespace dedicore::storage {
 
+/// A "job" is one queued plan part: one per image on sim/posix, one per
+/// chunk on sharded.
 struct WriteBehindStats {
   std::uint64_t jobs_enqueued = 0;
   std::uint64_t jobs_written = 0;
@@ -46,48 +55,27 @@ struct WriteBehindStats {
   std::uint64_t max_pending_bytes = 0; ///< high-water mark of the queue
 };
 
-class ShardedBackend;  // sharded_backend.hpp; enables chunk-granular jobs
-
 class WriteBehind {
  public:
+  /// An image to persist, with an optional completion hook.
   struct Job {
-    Job() = default;
-    /// Producer form: an image to persist (optionally with a completion
-    /// hook).  Kept as a constructor so the `perform`/`charge_bytes`
-    /// internals below stay invisible to producer call sites.
-    Job(std::string path_in, int stripes, std::vector<std::byte> image_in,
-        std::function<void(const Status&)> on_complete_in = nullptr)
-        : path(std::move(path_in)),
-          stripe_count(stripes),
-          image(std::move(image_in)),
-          on_complete(std::move(on_complete_in)) {}
-
     std::string path;
     int stripe_count = 0;
     std::vector<std::byte> image;
-    /// Invoked once with the backend's verdict after the write attempt
+    /// Invoked once with the image's verdict after its write attempt
     /// (any drainer thread; callbacks across the queue are serialized, so
     /// shared accounting inside needs no extra locking against other
     /// callbacks).  Producers use it to count durability at *drain* time
     /// — an enqueue is a promise, not a persisted file.
-    std::function<void(const Status&)> on_complete;
-    /// Internal (chunk-granular splitting): when set, the drain runs this
-    /// instead of write_image and `charge_bytes` is the job's budget
-    /// share.  Producers leave both empty.
-    std::function<Status(double*)> perform;
-    std::uint64_t charge_bytes = 0;
-
-    [[nodiscard]] std::uint64_t bytes() const noexcept {
-      return perform ? charge_bytes : image.size();
-    }
+    std::function<void(const Status&)> on_complete = {};
   };
 
   /// `budget_bytes` bounds the pending (not yet drained) image bytes; a
-  /// single job larger than the budget is still admitted alone, so the
+  /// single image larger than the budget is still admitted alone, so the
   /// queue can never deadlock on an oversized image.  `retries` is the
-  /// total attempt budget per job for *transient* (kIoError) backend
+  /// total attempt budget per part for *transient* (kIoError) backend
   /// failures: between attempts the drainer backs off exponentially (1 ms
-  /// doubling, capped at 50 ms), and a job that exhausts the budget is
+  /// doubling, capped at 50 ms), and a part that exhausts the budget is
   /// quarantined as poison — dropped with its callback run, counted in
   /// WriteBehindStats::jobs_quarantined — instead of wedging the drain or
   /// the shutdown path.  `faults` (optional) enables the
@@ -100,39 +88,29 @@ class WriteBehind {
   WriteBehind(const WriteBehind&) = delete;
   WriteBehind& operator=(const WriteBehind&) = delete;
 
-  /// Queues the job.  While the byte budget is exhausted the caller is
-  /// held up (backpressure) — but never parked helplessly: if queued work
-  /// exists, the producer drains it itself (it may be the only thread
-  /// able to reach a drain site, e.g. a plugin firing repeatedly under
-  /// the server's pipeline mutex), and it only sleeps when every pending
-  /// byte is in flight on another drainer.  Deadlock-free by
-  /// construction.  Fatal after close().
+  /// Plans the image (StorageBackend::plan_write — layout decisions are
+  /// frozen here, in enqueue order, however the parts later drain) and
+  /// queues its parts as jobs.  The image's full size is charged to the
+  /// byte budget until its last part drains.  While the budget is
+  /// exhausted the caller is held up (backpressure) — but never parked
+  /// helplessly: if queued work exists, the producer drains it itself (it
+  /// may be the only thread able to reach a drain site, e.g. a plugin
+  /// firing repeatedly under the server's pipeline mutex), and it only
+  /// sleeps when every pending byte is in flight on another drainer.
+  /// Deadlock-free by construction.  Fatal after close().
   ///
-  /// Sharded backends make jobs CHUNK-GRANULAR: an image job is split at
-  /// enqueue time into one queue entry per chunk (layout frozen here via
-  /// plan_image, so placement is deterministic in enqueue order no matter
-  /// how drains interleave), each owning its own slice of the image so
-  /// memory is freed chunk-by-chunk as the queue drains (residency tracks
-  /// the byte budget), concurrent drainers then write chunks of the
-  /// same image to different roots in parallel, and the drainer that
-  /// completes the image's last chunk publishes the manifest and fires
-  /// the producer's on_complete once with the aggregate verdict.  Chunk
-  /// jobs retry/quarantine individually; a quarantined chunk withholds
-  /// the manifest, so a partially-failed image is never visible.
+  /// Parts retry/quarantine individually.  The drainer that finishes an
+  /// image's last part runs the plan's commit (only if every part
+  /// succeeded: a failed part withholds it, so a partly written image is
+  /// never published) and fires on_complete once with the image's verdict.
   void enqueue(Job job);
 
-  /// Drains up to `max_jobs` pending jobs on the calling thread (server
-  /// workers call this opportunistically after completing an iteration's
-  /// pipeline).  Returns the number of jobs written.  Concurrent callers
-  /// drain disjoint jobs.
+  /// Drains up to `max_jobs` pending parts on the calling thread and
+  /// returns how many it wrote; never waits.  Server workers call it
+  /// after completing an iteration's pipeline, and pooled workers parked
+  /// in next_event() call drain_some(1) as the idle hook.  Concurrent
+  /// callers drain disjoint parts.
   std::size_t drain_some(std::size_t max_jobs);
-
-  /// Non-blocking single-job drain: pops and writes one pending job, or
-  /// returns false immediately when the queue is empty.  This is the
-  /// idle-worker hook — a pooled server worker parked in next_event()
-  /// with nothing to consume or steal calls it instead of sleeping, so
-  /// disk drain overlaps event waits.  Never waits for in-flight jobs.
-  bool try_drain_one();
 
   /// Drains until the queue is empty *and no job is in flight on another
   /// drainer* — when it returns, every enqueued image has been durably
@@ -147,12 +125,12 @@ class WriteBehind {
   ///    therefore either observes the new state at the predicate check or
   ///    is woken by the notification; there is no window where the state
   ///    changes between the check and the wait registration.
-  ///  * No double count / double drain: a job moves queue_ -> in_flight_
-  ///    exactly once, atomically under mutex_ (pop()), and its budget
-  ///    share and stats are released exactly once, in write_out()'s
-  ///    accounting block.  drain_all never touches a job another drainer
-  ///    popped — it waits for in_flight_ == 0 instead, so no job's
-  ///    on_complete can run twice.
+  ///  * No double count / double drain: a part moves queue_ -> in_flight_
+  ///    exactly once, atomically under mutex_ (pop()), its stats are
+  ///    counted exactly once in write_out()'s accounting block, and the
+  ///    image's budget charge is released there by its last part only.
+  ///    drain_all never touches a part another drainer popped — it waits
+  ///    for in_flight_ == 0 instead, so no countdown can run twice.
   ///  * Termination: retries are bounded (poison jobs are quarantined
   ///    after the retry budget, never re-enqueued), so every in-flight
   ///    job finishes in bounded time and in_flight_ is monotonically
@@ -170,19 +148,21 @@ class WriteBehind {
   [[nodiscard]] StorageBackend& backend() noexcept { return backend_; }
 
  private:
-  /// Pops one job; false when the queue is empty.
-  bool pop(Job* out);
-  void write_out(Job job);
-  /// Admission + bookkeeping shared by whole-image and chunk jobs.
-  void enqueue_one(Job job);
-  /// Splits an image job into per-chunk jobs + a manifest-publishing
-  /// completion ticket (sharded backends only).
-  void enqueue_sharded(Job job);
+  struct Ticket;  ///< per-image countdown; write_behind.cpp
+  struct Entry {
+    WritePart part;
+    std::shared_ptr<Ticket> ticket;
+  };
+
+  /// Pops one part; false when the queue is empty.
+  bool pop(Entry* out);
+  void write_out(Entry entry);
+  [[nodiscard]] bool admits(std::uint64_t bytes) const
+      DEDICORE_REQUIRES(mutex_);
 
   StorageBackend& backend_;
-  ShardedBackend* sharded_ = nullptr;  ///< non-null when backend_ is sharded
   const std::uint64_t budget_bytes_;
-  const int retries_;  ///< total attempts per job on transient failures
+  const int retries_;  ///< total attempts per part on transient failures
   std::shared_ptr<fault::FaultInjector> faults_;
 
   /// Queue + budget + counters.  Never held across a backend call or an
@@ -190,16 +170,17 @@ class WriteBehind {
   mutable Mutex mutex_{"write_behind.state"};
   CondVar space_;   ///< producers waiting for budget
   CondVar idle_;    ///< drain_all waiting for in-flight jobs
-  /// Serializes on_complete invocations (not the backend writes), so
-  /// producer-side accounting never races another drainer's callback.
-  /// Held while the sharded completion ticket publishes its manifest, so
-  /// write_behind.callback sits ABOVE sharded.state / posix.* in the
-  /// hierarchy; it never nests with write_behind.state in either order.
+  /// Serializes the per-image countdowns and on_complete invocations (not
+  /// the backend writes), so producer-side accounting never races another
+  /// drainer's callback.  Held while a plan's commit runs (the sharded
+  /// manifest publish), so write_behind.callback sits ABOVE sharded.state
+  /// / posix.* in the hierarchy; it never nests with write_behind.state
+  /// in either order.
   Mutex callback_mutex_{"write_behind.callback"};
-  std::deque<Job> queue_ DEDICORE_GUARDED_BY(mutex_);
-  /// Queued + in-flight drain bytes.
+  std::deque<Entry> queue_ DEDICORE_GUARDED_BY(mutex_);
+  /// Budget charge of every image with a part queued or in flight.
   std::uint64_t pending_bytes_ DEDICORE_GUARDED_BY(mutex_) = 0;
-  /// Jobs popped but not yet written out.
+  /// Parts popped but not yet written out.
   int in_flight_ DEDICORE_GUARDED_BY(mutex_) = 0;
   bool closed_ DEDICORE_GUARDED_BY(mutex_) = false;
   WriteBehindStats stats_ DEDICORE_GUARDED_BY(mutex_);

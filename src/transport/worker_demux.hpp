@@ -37,7 +37,7 @@
 // Idle drain: a worker that has nothing local, nothing to steal, and no
 // leadership to take would park on the condition variable.  When an idle
 // hook is installed (the server wires it to storage::WriteBehind's
-// try_drain_one), the worker first runs the hook with the lock dropped —
+// drain_some(1)), the worker first runs the hook with the lock dropped —
 // pending disk writes drain on otherwise-wasted waits — and only parks
 // (with a short timeout, to keep polling the hook) when the hook reports
 // no work either.
@@ -106,7 +106,7 @@ class WorkerDemux {
   /// lead.  Returns true when it performed a unit of work (the worker
   /// re-checks its intake), false when there was nothing to do (the
   /// worker parks, briefly, and polls again).  Install before the first
-  /// next(); the server wires this to WriteBehind::try_drain_one.
+  /// next(); the server wires this to WriteBehind::drain_some(1).
   void set_idle_hook(std::function<bool()> hook) {
     MutexLock lock(mutex_);
     DEDICORE_CHECK(!consumed_, "WorkerDemux: set_idle_hook after consumption began");

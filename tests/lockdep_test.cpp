@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "common/sync.hpp"
+#include "core/plugin.hpp"
 #include "framework/test_infra.hpp"
 #include "shm/bounded_queue.hpp"
 #include "storage/posix_backend.hpp"
@@ -139,6 +140,23 @@ TEST_F(LockdepTest, SelfRelockIsReportedBeforeTheDeadlock) {
   EXPECT_EQ(lockdep::report_count(), 1u);
 }
 
+TEST_F(LockdepTest, PluginFactoryMayDelegateToMakePlugin) {
+  // A wrapper plugin's factory builds the plugin it wraps through the
+  // registry.  Should the registry lock still be held around the factory
+  // call, the inner make_plugin relocks it: the throwing handler turns
+  // that self-deadlock into a test failure instead of a hang.
+  struct Abort {};
+  lockdep::set_failure_handler([](const lockdep::Report&) { throw Abort{}; });
+  core::register_plugin("lockdep-delegating-stats", [](const auto& params) {
+    return core::make_plugin("stats", params);
+  });
+  std::unique_ptr<core::Plugin> plugin;
+  EXPECT_NO_THROW(plugin = core::make_plugin("lockdep-delegating-stats", {}));
+  ASSERT_NE(plugin, nullptr);
+  EXPECT_EQ(plugin->name(), "stats");
+  EXPECT_EQ(lockdep::report_count(), 0u);
+}
+
 TEST_F(LockdepTest, TryLockImposesNoOrderingEdge) {
   Mutex a("test.try_a");
   Mutex b("test.try_b");
@@ -226,7 +244,7 @@ TEST_F(LockdepTest, PooledTransportWithIdleDrainRunsInversionFree) {
       /*segment_capacity=*/1 << 16, /*queue_count=*/1, /*queue_capacity=*/64);
   transport::ShmServerTransport server(fabric, 0);
   server.set_worker_count(kWorkers);
-  server.set_idle_hook([&write_behind] { return write_behind.try_drain_one(); });
+  server.set_idle_hook([&write_behind] { return write_behind.drain_some(1) > 0; });
 
   std::atomic<int> stops{0};
   std::vector<std::thread> workers;

@@ -71,7 +71,7 @@ RoundResult run_round(int clients, int workers, std::uint32_t hot_blocks,
 
   std::atomic<int> fake_jobs{idle_jobs};
   if (idle_jobs > 0) {
-    // Stands in for WriteBehind::try_drain_one: claims one unit of idle
+    // Stands in for WriteBehind::drain_some(1): claims one unit of idle
     // work until the pool of fake jobs is dry.
     server.set_idle_hook([&fake_jobs] {
       return fake_jobs.fetch_sub(1, std::memory_order_relaxed) > 0;

@@ -270,6 +270,25 @@ TEST_P(StorageConformanceTest, CountersMatchTheWorkload) {
   EXPECT_GE(stats.write_seconds, 0.0);
 }
 
+TEST_P(StorageConformanceTest, WriteBehindCountsEachImageOnce) {
+  // The queued path reaches the backend through plan_write, not
+  // create/write/close — the logical counters must still see each image
+  // exactly once, at its full size, on every backend.
+  BackendFixture fx(GetParam());
+  StorageBackend& b = *fx.backend;
+  {
+    WriteBehind queue(b, 1 << 20);
+    for (int i = 0; i < 3; ++i)
+      queue.enqueue({"wb/f" + std::to_string(i), 0, pattern_bytes(1024, i)});
+    queue.drain_all();
+    EXPECT_EQ(queue.stats().jobs_failed, 0u);
+  }
+  const storage::StorageStats stats = b.stats();
+  EXPECT_EQ(stats.files_created, 3u);
+  EXPECT_EQ(stats.bytes_written, 3u * 1024u);
+  EXPECT_EQ(b.file_count(), 3u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, StorageConformanceTest,
                          ::testing::Values(Kind::kSim, Kind::kPosix,
                                            Kind::kSharded),
@@ -1123,6 +1142,71 @@ TEST(WriteBehindShardedTest, ChunkFailureWithholdsTheManifest) {
   EXPECT_GT(wb.jobs_quarantined, 0u);
   EXPECT_GT(wb.retries, 0u);
   EXPECT_EQ(wb.jobs_written + wb.jobs_failed, wb.jobs_enqueued);
+}
+
+TEST(WriteBehindShardedTest, LayoutIsFrozenAtEnqueueUnderConcurrentDrain) {
+  // Twin queues over balanced placement (whose state depends on the order
+  // images are planned) drained by three racing threads each: identical
+  // layouts and manifests prove generation and placement were fixed in
+  // enqueue order, not in whatever order the chunks happened to drain.
+  testing::TempDir da("wb_frozen_a");
+  testing::TempDir db("wb_frozen_b");
+  ShardedOptions opts;
+  opts.chunk_size = 512;
+  opts.placement = storage::PlacementPolicy::kBalanced;
+  opts.placement_seed = 2026;
+  ShardedBackend a(sharded_roots(da), opts);
+  ShardedBackend b(sharded_roots(db), opts);
+  const std::vector<std::string> paths = {"img0", "img1", "img2", "img0",
+                                          "img3", "img1", "img4", "img0"};
+  for (ShardedBackend* backend : {&a, &b}) {
+    WriteBehind queue(*backend, 1 << 20);
+    for (std::size_t i = 0; i < paths.size(); ++i)
+      queue.enqueue(
+          {paths[i], 0, pattern_bytes(700 + 300 * i, static_cast<int>(i))});
+    std::vector<std::thread> drainers;
+    for (int d = 0; d < 3; ++d)
+      drainers.emplace_back([&queue] { queue.drain_all(); });
+    for (auto& t : drainers) t.join();
+    EXPECT_EQ(queue.stats().jobs_failed, 0u);
+  }
+  for (std::size_t r = 0; r < a.root_count(); ++r) {
+    EXPECT_EQ(a.root_backend(r).list_files(), b.root_backend(r).list_files())
+        << "root " << r;
+    for (const char* path : {"img0", "img1", "img2", "img3", "img4"}) {
+      const std::string manifest = std::string(path) + ".manifest";
+      EXPECT_EQ(a.root_backend(r).read_file(manifest),
+                b.root_backend(r).read_file(manifest))
+          << "root " << r << " " << manifest;
+    }
+  }
+  // img0 was written three times: the published manifest is the third
+  // generation and serves the last image.
+  std::string manifest;
+  for (std::size_t r = 0; r < a.root_count(); ++r)
+    if (const auto text = a.root_backend(r).read_file("img0.manifest"))
+      manifest.assign(reinterpret_cast<const char*>(text->data()), text->size());
+  EXPECT_NE(manifest.find("generation 3\n"), std::string::npos) << manifest;
+  EXPECT_EQ(a.read_file("img0"), pattern_bytes(700 + 300 * 7, 7));
+}
+
+TEST(WriteBehindShardedTest, BudgetIsChargedPerImageUntilItsLastPart) {
+  testing::TempDir dir("wb_sharded_budget");
+  ShardedOptions opts;
+  opts.chunk_size = 256;
+  ShardedBackend backend(sharded_roots(dir), opts);
+  WriteBehind queue(backend, 1 << 20);
+
+  queue.enqueue({"img.bin", 0, pattern_bytes(1124, 2)});  // 5 parts
+  ASSERT_EQ(queue.pending_jobs(), 5u);
+  EXPECT_EQ(queue.drain_some(2), 2u);
+  // Two parts drained, but the plan still holds the whole image.
+  EXPECT_EQ(queue.pending_jobs(), 3u);
+  EXPECT_EQ(queue.pending_bytes(), 1124u);
+  EXPECT_EQ(queue.drain_some(3), 3u);
+  EXPECT_EQ(queue.pending_bytes(), 0u);
+  EXPECT_EQ(queue.stats().max_pending_bytes, 1124u);
+  EXPECT_TRUE(backend.exists("img.bin"));
 }
 
 // ---------------------------------------------------------------------------
