@@ -1,12 +1,10 @@
-// Hot-path benchmark: the three data-plane costs PR 3 rewrote, measured
-// against the designs they replaced.
+// Hot-path benchmark: the data-plane costs of the dedicated-core path,
+// one section per layer.
 //
 //   1. allocator churn  — concurrent allocate/free against a fragmented
-//      segment: size-segregated best-fit (shm::Segment) vs. the pre-PR
-//      first-fit linear scan (bench_legacy::LegacySegment);
+//      segment (shm::Segment's size-segregated best-fit);
 //   2. queue throughput — N producers / 1 consumer through the two-lock
-//      BoundedQueue (single-event and batched push_all/pop_all paths) vs.
-//      the pre-PR single-mutex ring;
+//      BoundedQueue (single-event and batched push_all/pop_all paths);
 //   3. MPI batching     — wire messages per (client, iteration) through
 //      MpiTransport, against the analytic pre-PR count of one message per
 //      block plus one per control event;
@@ -81,7 +79,6 @@
 #include "common/rng.hpp"
 #include "core/runtime.hpp"
 #include "fsim/filesystem.hpp"
-#include "legacy_hotpath.hpp"
 #include "minimpi/minimpi.hpp"
 #include "shm/bounded_queue.hpp"
 #include "shm/segment.hpp"
@@ -118,7 +115,7 @@ struct ChurnConfig {
 };
 
 /// Drives `ops_per_thread` allocate/free pairs per thread against a
-/// fragmented allocator.  Returns allocate+free operations per second.
+/// fragmented segment.  Returns allocate+free operations per second.
 ///
 /// The fragmentation models a long-running server's segment: thousands of
 /// small live blocks with freed holes between them at low offsets.  The
@@ -126,9 +123,8 @@ struct ChurnConfig {
 /// the entire hole band on every allocation — the O(n) behaviour the
 /// size-segregated index removes (best-fit jumps past all of them in one
 /// lower_bound).
-template <typename Allocator>
 double run_allocator_churn(const ChurnConfig& cfg, int threads) {
-  Allocator segment(cfg.capacity);
+  dedicore::shm::Segment segment(cfg.capacity);
 
   std::vector<dedicore::shm::BlockRef> pins;
   for (int i = 0; i < cfg.fragment_pins; ++i) {
@@ -182,32 +178,9 @@ struct QueueConfig {
   std::size_t batch = 64;
 };
 
-/// The pre-PR shape: N blocking producers and one consumer, one lock
-/// transaction per event on both sides of the legacy single-mutex ring.
-double run_queue_legacy(const QueueConfig& cfg, int producers) {
-  dedicore::bench_legacy::LegacyBoundedQueue<Event> queue(cfg.capacity);
-  const long total =
-      static_cast<long>(producers) * cfg.events_per_producer;
-  const auto start = Clock::now();
-  std::vector<std::thread> threads;
-  for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&] {
-      Event event;
-      event.type = EventType::kBlockWritten;
-      for (int i = 0; i < cfg.events_per_producer; ++i) (void)queue.push(event);
-    });
-  }
-  long received = 0;
-  while (received < total) {
-    if (queue.pop()) ++received;
-  }
-  for (auto& t : threads) t.join();
-  return static_cast<double>(total) / seconds_since(start);
-}
-
-/// The post-PR ShmTransport shape: producers still push per event (a
-/// publish is per block), but the consumer drains bursts with pop_all —
-/// what ShmServerTransport::next_event does since this PR.
+/// The ShmTransport shape: producers push per event (a publish is per
+/// block), and the consumer drains bursts with pop_all — what the shm
+/// server intake's demux leader does.
 double run_queue_popall(const QueueConfig& cfg, int producers) {
   dedicore::shm::BoundedQueue<Event> queue(cfg.capacity);
   const long total =
@@ -1340,13 +1313,11 @@ ShardedBenchResult run_sharded_integrity(const ShardedBenchConfig& cfg,
 
 struct AllocatorRow {
   int threads;
-  double legacy_ops_per_sec;
   double ops_per_sec;
 };
 
 struct QueueRow {
   int producers;
-  double legacy_events_per_sec;
   double events_per_sec;
   double batch_events_per_sec;
 };
@@ -1381,18 +1352,13 @@ std::string format_json(const std::string& mode,
   for (std::size_t i = 0; i < allocator.size(); ++i) {
     const auto& row = allocator[i];
     out << "    {\"threads\": " << row.threads
-        << ", \"legacy_ops_per_sec\": " << row.legacy_ops_per_sec
-        << ", \"ops_per_sec\": " << row.ops_per_sec << ", \"speedup\": ";
-    out.precision(2);
-    out << row.ops_per_sec / row.legacy_ops_per_sec;
-    out.precision(1);
-    out << "}" << (i + 1 < allocator.size() ? "," : "") << "\n";
+        << ", \"ops_per_sec\": " << row.ops_per_sec << "}"
+        << (i + 1 < allocator.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"queue_throughput\": [\n";
   for (std::size_t i = 0; i < queue.size(); ++i) {
     const auto& row = queue[i];
     out << "    {\"producers\": " << row.producers
-        << ", \"legacy_events_per_sec\": " << row.legacy_events_per_sec
         << ", \"events_per_sec\": " << row.events_per_sec
         << ", \"batch_events_per_sec\": " << row.batch_events_per_sec
         << "}" << (i + 1 < queue.size() ? "," : "") << "\n";
@@ -1587,32 +1553,23 @@ int main(int argc, char** argv) {
   for (int threads : {1, 4}) {
     AllocatorRow row;
     row.threads = threads;
-    row.legacy_ops_per_sec =
-        run_allocator_churn<dedicore::bench_legacy::LegacySegment>(churn,
-                                                                   threads);
-    row.ops_per_sec =
-        run_allocator_churn<dedicore::shm::Segment>(churn, threads);
+    row.ops_per_sec = run_allocator_churn(churn, threads);
     allocator_rows.push_back(row);
-    std::printf(
-        "allocator churn, %d thread(s): legacy %.2fM ops/s, new %.2fM ops/s "
-        "(%.2fx)\n",
-        threads, row.legacy_ops_per_sec / 1e6, row.ops_per_sec / 1e6,
-        row.ops_per_sec / row.legacy_ops_per_sec);
+    std::printf("allocator churn, %d thread(s): %.2fM ops/s\n", threads,
+                row.ops_per_sec / 1e6);
   }
 
   std::vector<QueueRow> queue_rows;
   for (int producers : {1, 2, 4}) {
     QueueRow row;
     row.producers = producers;
-    row.legacy_events_per_sec = run_queue_legacy(queue_cfg, producers);
     row.events_per_sec = run_queue_popall(queue_cfg, producers);
     row.batch_events_per_sec = run_queue_batched(queue_cfg, producers);
     queue_rows.push_back(row);
     std::printf(
-        "queue throughput, %d producer(s): legacy %.2fM ev/s, "
-        "push+pop_all %.2fM ev/s, push_all+pop_all %.2fM ev/s\n",
-        producers, row.legacy_events_per_sec / 1e6, row.events_per_sec / 1e6,
-        row.batch_events_per_sec / 1e6);
+        "queue throughput, %d producer(s): push+pop_all %.2fM ev/s, "
+        "push_all+pop_all %.2fM ev/s\n",
+        producers, row.events_per_sec / 1e6, row.batch_events_per_sec / 1e6);
   }
 
   std::vector<WorkerRow> worker_rows;

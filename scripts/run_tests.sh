@@ -10,6 +10,9 @@
 #   scripts/run_tests.sh --tsan          # ThreadSanitizer build (separate build dir)
 #   scripts/run_tests.sh --ubsan         # UndefinedBehaviorSanitizer build; any
 #                                        # finding aborts (separate build dir)
+#   scripts/run_tests.sh --lockdep       # every suite with the runtime lock-order
+#                                        # detector on (DEDICORE_LOCKDEP=1), which
+#                                        # NDEBUG builds otherwise leave off
 #   scripts/run_tests.sh --faults        # fault-tolerance suites under 3 seeds
 #                                        # (DEDICORE_FAULT_SEED sweeps the
 #                                        # injector's probabilistic schedules)
@@ -25,6 +28,7 @@ build_dir=""
 filter=""
 sanitize=""
 faults=""
+lockdep=""
 thread_safety=""
 tidy=""
 jobs="$(nproc 2>/dev/null || echo 2)"
@@ -40,6 +44,8 @@ while [[ $# -gt 0 ]]; do
       sanitize="thread"; shift ;;
     --ubsan)
       sanitize="undefined"; shift ;;
+    --lockdep)
+      lockdep="1"; shift ;;
     --faults)
       faults="1"; shift ;;
     --thread-safety)
@@ -53,7 +59,7 @@ while [[ $# -gt 0 ]]; do
       [[ $# -ge 2 ]] || { echo "error: $1 needs a number" >&2; exit 2; }
       jobs="$2"; shift 2 ;;
     -h|--help)
-      sed -n '2,19p' "$0"; exit 0 ;;
+      sed -n '2,23p' "$0"; exit 0 ;;
     *)
       echo "error: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -132,6 +138,8 @@ if [[ -n "$faults" ]]; then
   done
   exit 0
 fi
+
+[[ -n "$lockdep" ]] && export DEDICORE_LOCKDEP=1
 
 ctest_args=(--test-dir "$build_dir" --output-on-failure -j "$jobs")
 [[ -n "$filter" ]] && ctest_args+=(-R "$filter")

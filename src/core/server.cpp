@@ -41,44 +41,35 @@ Plugin* Server::find_plugin(const std::string& event,
 void Server::run() {
   stats_.workers = worker_count_;
   if (client_count_ > 0) {
-    if (worker_count_ == 1) {
-      // Classic single-threaded event loop: no pool, no end_of_stream —
-      // the loop simply stops once the last client's stop is consumed.
-      WorkerLedger ledger;
-      worker_loop(0, ledger);
+    transport::WorkerPoolOptions assignment;
+    assignment.steal = node_->config.steal_enabled();
+    assignment.steal_threshold = node_->config.steal_threshold();
+    transport_->set_worker_count(worker_count_, assignment);
+    // Idle-worker write-behind drain: a worker parked in next_event()
+    // with nothing to consume or steal performs disk writes instead of
+    // sleeping, overlapping drain with event waits.  A lone worker is
+    // always the demux leader and never parks, so it never reaches this
+    // hook — complete_iteration() drains inline for it instead.
+    if (node_->write_behind != nullptr)
+      transport_->set_idle_hook([wb = node_->write_behind.get()] {
+        return wb->drain_some(1) > 0;
+      });
+    // Worker 0 runs on the calling thread, workers 1..N-1 on their own.
+    std::vector<WorkerLedger> ledgers(static_cast<std::size_t>(worker_count_));
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(worker_count_ - 1));
+    for (int w = 1; w < worker_count_; ++w)
+      pool.emplace_back([this, w, &ledgers] {
+        worker_loop(w, ledgers[static_cast<std::size_t>(w)]);
+      });
+    worker_loop(0, ledgers[0]);
+    for (auto& t : pool) t.join();
+    // The pool has drained: folding ledgers and reading transport stats
+    // below cannot race a live worker.
+    for (const WorkerLedger& ledger : ledgers) {
       stats_.idle_seconds += ledger.idle_seconds;
       stats_.busy_seconds += ledger.busy_seconds;
       stats_.events_processed += ledger.events;
-    } else {
-      transport::WorkerPoolOptions assignment;
-      assignment.steal = node_->config.steal_enabled();
-      assignment.steal_threshold = node_->config.steal_threshold();
-      transport_->set_worker_count(worker_count_, assignment);
-      // Idle-worker write-behind drain: a worker parked in next_event()
-      // with nothing to consume or steal performs disk writes instead of
-      // sleeping, overlapping drain with event waits.  The pool, not the
-      // iteration-completing worker, is the drain bandwidth here — see
-      // complete_iteration().
-      if (node_->write_behind != nullptr)
-        transport_->set_idle_hook([wb = node_->write_behind.get()] {
-          return wb->drain_some(1) > 0;
-        });
-      std::vector<WorkerLedger> ledgers(
-          static_cast<std::size_t>(worker_count_));
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(worker_count_));
-      for (int w = 0; w < worker_count_; ++w)
-        pool.emplace_back([this, w, &ledgers] {
-          worker_loop(w, ledgers[static_cast<std::size_t>(w)]);
-        });
-      for (auto& t : pool) t.join();
-      // The pool has drained: folding ledgers and reading transport stats
-      // below cannot race a live worker.
-      for (const WorkerLedger& ledger : ledgers) {
-        stats_.idle_seconds += ledger.idle_seconds;
-        stats_.busy_seconds += ledger.busy_seconds;
-        stats_.events_processed += ledger.events;
-      }
     }
   }
   // Final drain: the write-behind queue may still hold images enqueued by
@@ -182,14 +173,10 @@ void Server::handle(const Event& event) {
         ++stopped_clients_;
         last = all_clients_finished_locked();
       }
-      if (last) {
-        // Ordered shutdown: every client's stop is its final event and
-        // stops arrive after all that client's data (per-client FIFO), so
-        // at this point every event of the run has been handled.  Mark the
-        // run done and wake the other workers out of next_event().
-        done_.store(true, std::memory_order_release);
-        if (worker_count_ > 1) transport_->end_of_stream();
-      }
+      // Every client's stop is its final event and stops arrive after all
+      // that client's data (per-client FIFO), so at this point every event
+      // of the run has been handled.
+      if (last) finish();
       break;
     }
     case EventType::kClientAborted: {
@@ -262,10 +249,14 @@ void Server::handle_client_abort(int source) {
     last = all_clients_finished_locked();
   }
   for (Iteration iteration : newly_complete) complete_iteration(iteration);
-  if (last) {
-    done_.store(true, std::memory_order_release);
-    if (worker_count_ > 1) transport_->end_of_stream();
-  }
+  if (last) finish();
+}
+
+void Server::finish() {
+  // Ordered shutdown: mark the run done, then wake the other workers out
+  // of next_event() — they drain what is already demuxed and exit.
+  done_.store(true, std::memory_order_release);
+  transport_->end_of_stream();
 }
 
 void Server::fire(const std::string& event_name, Iteration iteration,
@@ -305,8 +296,9 @@ void Server::complete_iteration(Iteration iteration) {
   // owns the drain instead — workers parked in next_event perform the
   // disk writes while this one returns to the (possibly backlogged)
   // event stream, so drain overlaps intake rather than stalling it.  A
-  // small batch keeps the single-worker loop from absorbing the whole
-  // backlog while events queue up.
+  // lone worker never parks, so the hook never runs for it and it drains
+  // here; a small batch keeps it from absorbing the whole backlog while
+  // events queue up.
   if (node_->write_behind != nullptr && worker_count_ == 1)
     node_->write_behind->drain_some(4);
 

@@ -110,10 +110,12 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Processes events until every client of this server has sent
-  /// kClientStop (and all their iterations have been completed).  With a
-  /// worker pool, shutdown is ordered: the worker that consumes the final
-  /// stop signals end_of_stream(), the pool drains and joins, and only
-  /// then are stats folded — no credit/queue teardown races a live worker.
+  /// kClientStop (and all their iterations have been completed).  Worker 0
+  /// runs on the calling thread, the rest of the pool on its own threads.
+  /// Shutdown is ordered at every width: the worker that consumes the
+  /// final stop signals end_of_stream(), the pool drains and joins, and
+  /// only then are stats folded — no credit/queue teardown races a live
+  /// worker.
   void run();
 
   [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
@@ -141,6 +143,8 @@ class Server {
   void handle(const Event& event);
   void handle_client_abort(int source);
   void complete_iteration(Iteration iteration);
+  /// After the last stop or abort: sets done_, then ends the stream.
+  void finish();
   void fire(const std::string& event_name, Iteration iteration,
             const Event* trigger);
 

@@ -239,32 +239,11 @@ MpiServerTransport::MpiServerTransport(minimpi::Comm comm,
   DEDICORE_CHECK(comm_.valid(), "MpiServerTransport: invalid communicator");
 }
 
-void MpiServerTransport::set_worker_count(int workers,
-                                          WorkerPoolOptions options) {
-  DEDICORE_CHECK(next_frame_id_ == 0,
-                 "MpiServerTransport: set_worker_count after consumption began");
-  demux_.set_worker_count(workers, options);
-}
-
-void MpiServerTransport::set_idle_hook(std::function<bool()> hook) {
-  demux_.set_idle_hook(std::move(hook));
-}
-
-std::optional<Event> MpiServerTransport::next_event(int worker) {
-  // receive_frame blocks until a frame arrives; false means the
-  // end-of-stream sentinel — the verdict the demux fans out to every
-  // worker.  The MPI backend uses the demux even single-consumer: the
-  // frame channel has no cheaper fast path to preserve.
-  return demux_.next(
-      worker, [this](std::vector<Event>& out) { return receive_frame(out); },
-      events_received_);
-}
-
 void MpiServerTransport::end_of_stream() {
   comm_.send_bytes({}, comm_.rank(), kTagFrame);
 }
 
-bool MpiServerTransport::receive_frame(std::vector<Event>& out) {
+bool MpiServerTransport::drain(std::vector<Event>& out) {
   minimpi::Message m = comm_.recv(minimpi::kAnySource, kTagFrame);
   if (m.payload.empty()) return false;  // end_of_stream() sentinel
   wire::FrameReader reader(m.payload);
@@ -386,10 +365,7 @@ void MpiServerTransport::reclaim_client(int source) {
 TransportStats MpiServerTransport::stats() const {
   MutexLock state(state_mutex_);
   TransportStats out = stats_;
-  out.events_received = events_received_.load(std::memory_order_relaxed);
-  out.steals = demux_.steals();
-  out.idle_drains = demux_.idle_drains();
-  out.controls_cancelled = demux_.controls_cancelled();
+  add_intake_stats(out);
   return out;
 }
 

@@ -31,7 +31,6 @@
 // every block of a client's iteration before that iteration's close event.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -44,7 +43,6 @@
 #include "transport/shm_transport.hpp"
 #include "transport/transport.hpp"
 #include "transport/wire.hpp"
-#include "transport/worker_demux.hpp"
 
 namespace dedicore::transport {
 
@@ -134,18 +132,6 @@ class MpiServerTransport final : public ServerTransport {
   /// in (its queues are unused; pass queue_count = 0).
   MpiServerTransport(minimpi::Comm comm, std::shared_ptr<ShmFabric> fabric);
 
-  /// Multi-worker mode: N concurrent next_event() consumers drain the one
-  /// frame channel through the leader-follower demux (WorkerDemux); the
-  /// leader's blocking drain is the frame recv.  A frame carries one
-  /// client's events, so the per-client ownership token (pinned, or
-  /// migrating under work stealing) keeps per-client FIFO across the
-  /// concurrency.  Frame/credit/residency bookkeeping lives under
-  /// state_mutex_ because release() and view() may be called from any
-  /// worker while the leader is demuxing.
-  void set_worker_count(int workers, WorkerPoolOptions options = {}) override;
-  void set_idle_hook(std::function<bool()> hook) override;
-  std::optional<Event> next_event(int worker) override;
-  using ServerTransport::next_event;
   /// Wakes workers blocked in next_event() by sending this rank a
   /// zero-byte sentinel on the frame channel.  Per-pair FIFO means every
   /// real frame sent before the callers' stop events has already been
@@ -159,6 +145,15 @@ class MpiServerTransport final : public ServerTransport {
   /// segment blocks.  Idempotent; callable from any worker.
   void reclaim_client(int source) override;
   [[nodiscard]] TransportStats stats() const override;
+
+ protected:
+  /// The demux leader's intake: receives one frame, re-homes its payloads,
+  /// and appends its events to `out` (residency/credit bookkeeping under
+  /// state_mutex_; no demux lock held).  A frame carries one client's
+  /// events, so the demux's per-client ownership token keeps per-client
+  /// FIFO across a worker pool.  Returns false when the end-of-stream
+  /// sentinel arrived.
+  bool drain(std::vector<Event>& out) override;
 
  private:
   /// Credit accounting for one received frame: the credit owed to its
@@ -179,15 +174,8 @@ class MpiServerTransport final : public ServerTransport {
     std::vector<std::byte> spill;  ///< empty when segment-resident
   };
 
-  /// Receives one frame, re-homes its payloads, and appends its events to
-  /// `out` (residency/credit bookkeeping under state_mutex_; no intake
-  /// locks).  Returns false when the end-of-stream sentinel arrived.
-  bool receive_frame(std::vector<Event>& out);
-
   minimpi::Comm comm_;
   std::shared_ptr<ShmFabric> fabric_;
-  WorkerDemux demux_;
-  std::atomic<std::uint64_t> events_received_{0};
   /// Guards resident_, frames_, spill offsets and the non-atomic stats —
   /// everything release()/view() share with the demux leader.  Leaf lock:
   /// taken only after demux.pool is released (the leader re-homes
@@ -201,10 +189,9 @@ class MpiServerTransport final : public ServerTransport {
   /// reclaim_client targets.
   std::unordered_set<int> dead_ranks_ DEDICORE_GUARDED_BY(state_mutex_);
   /// LEADER-ONLY state, deliberately not state_mutex_-guarded: only the
-  /// demux leader runs receive_frame (one at a time), and successive
+  /// demux leader runs drain() (one at a time), and successive
   /// leaderships are ordered by the demux's own lock handoff, so these
-  /// counters are single-threaded in practice.  set_worker_count's
-  /// next_frame_id_ check runs before any consumption exists.
+  /// counters are single-threaded in practice.
   std::uint64_t next_frame_id_ = 0;
   /// Offsets >= capacity mark spills (leader-only, as above).
   std::uint64_t next_spill_offset_;

@@ -109,39 +109,6 @@ ShmServerTransport::ShmServerTransport(std::shared_ptr<ShmFabric> fabric,
                                        int server_index)
     : fabric_(std::move(fabric)), queue_(queue_of(*fabric_, server_index)) {}
 
-void ShmServerTransport::set_worker_count(int workers,
-                                          WorkerPoolOptions options) {
-  DEDICORE_CHECK(batch_.empty(),
-                 "ShmServerTransport: set_worker_count after consumption began");
-  demux_.set_worker_count(workers, options);
-}
-
-void ShmServerTransport::set_idle_hook(std::function<bool()> hook) {
-  demux_.set_idle_hook(std::move(hook));
-}
-
-std::optional<Event> ShmServerTransport::next_event(int worker) {
-  if (demux_.workers() == 1) {
-    DEDICORE_CHECK(worker == 0, "ShmServerTransport: worker index out of range");
-    return next_event_single();
-  }
-  // pop_all blocks until a batch arrives; 0 means closed and drained —
-  // the end-of-stream verdict the demux fans out to every worker.
-  return demux_.next(
-      worker, [this](std::vector<Event>& out) { return queue_.pop_all(out) > 0; },
-      events_received_);
-}
-
-std::optional<Event> ShmServerTransport::next_event_single() {
-  if (batch_cursor_ == batch_.size()) {
-    batch_.clear();
-    batch_cursor_ = 0;
-    if (queue_.pop_all(batch_) == 0) return std::nullopt;  // closed + drained
-  }
-  events_received_.fetch_add(1, std::memory_order_relaxed);
-  return batch_[batch_cursor_++];
-}
-
 std::span<const std::byte> ShmServerTransport::view(
     const shm::BlockRef& block) {
   return std::as_const(fabric_->segment).view(block);
@@ -165,14 +132,11 @@ void ShmServerTransport::reclaim_client(int source) {
 }
 
 TransportStats ShmServerTransport::stats() const {
-  TransportStats out = stats_;
-  out.events_received = events_received_.load(std::memory_order_relaxed);
-  out.steals = demux_.steals();
-  out.idle_drains = demux_.idle_drains();
+  TransportStats out;
+  add_intake_stats(out);
   out.clients_aborted = clients_aborted_.load(std::memory_order_relaxed);
   out.blocks_reclaimed = blocks_reclaimed_.load(std::memory_order_relaxed);
   out.bytes_reclaimed = bytes_reclaimed_.load(std::memory_order_relaxed);
-  out.controls_cancelled = demux_.controls_cancelled();
   return out;
 }
 

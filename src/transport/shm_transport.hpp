@@ -20,7 +20,6 @@
 #include "common/thread_annotations.hpp"
 #include "shm/bounded_queue.hpp"
 #include "transport/transport.hpp"
-#include "transport/worker_demux.hpp"
 
 namespace dedicore::transport {
 
@@ -150,14 +149,7 @@ class ShmServerTransport final : public ServerTransport {
  public:
   ShmServerTransport(std::shared_ptr<ShmFabric> fabric, int server_index);
 
-  /// Multi-worker mode: N concurrent next_event() consumers share this
-  /// server's one queue through the leader-follower demux (WorkerDemux);
-  /// the leader's blocking drain is the queue's batch pop_all.  Options
-  /// select the client→worker assignment (pinned or work-stealing).
-  void set_worker_count(int workers, WorkerPoolOptions options = {}) override;
-  void set_idle_hook(std::function<bool()> hook) override;
-  std::optional<Event> next_event(int worker) override;
-  using ServerTransport::next_event;
+  /// Closes the intake queue: workers drain what is left, then see nullopt.
   void end_of_stream() override { close_intake(); }
   std::span<const std::byte> view(const shm::BlockRef& block) override;
   void release(const shm::BlockRef& block) override;
@@ -168,26 +160,20 @@ class ShmServerTransport final : public ServerTransport {
   [[nodiscard]] TransportStats stats() const override;
 
   /// Closes this server's intake queue; next_event() drains what is left
-  /// (including anything already batched locally) and then returns nullopt.
+  /// (including anything already demuxed) and then returns nullopt.
   void close_intake();
 
- private:
-  std::optional<Event> next_event_single();
+ protected:
+  /// The demux leader's intake: one pop_all critical section per burst,
+  /// blocking until a batch arrives; 0 events means closed and drained.
+  bool drain(std::vector<Event>& out) override { return queue_.pop_all(out) > 0; }
 
+ private:
   std::shared_ptr<ShmFabric> fabric_;
   shm::BoundedQueue<Event>& queue_;
-  /// Local intake batch (single-consumer mode): next_event() drains the
-  /// queue with one pop_all critical section and hands events out from
-  /// here, so the consumer touches the shared lock once per burst instead
-  /// of once per event.
-  std::vector<Event> batch_;
-  std::size_t batch_cursor_ = 0;
-  WorkerDemux demux_;  ///< pooled mode (set_worker_count > 1)
-  std::atomic<std::uint64_t> events_received_{0};
   std::atomic<std::uint64_t> clients_aborted_{0};
   std::atomic<std::uint64_t> blocks_reclaimed_{0};
   std::atomic<std::uint64_t> bytes_reclaimed_{0};
-  TransportStats stats_;
 };
 
 }  // namespace dedicore::transport

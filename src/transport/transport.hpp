@@ -16,6 +16,12 @@
 //    plugin pipeline is done with them — which is also the moment
 //    backpressure relaxes (segment space frees / credit returns).
 //
+// The server side has one intake shape for every worker count: the base
+// ServerTransport owns the leader-follower WorkerDemux (worker_demux.hpp),
+// and a backend supplies only the demux leader's blocking drain() —
+// queue pop_all on shm, frame recv on MPI — plus end_of_stream().  A
+// single consumer is a pool of one.
+//
 // Guarantees every backend must provide (checked by tests/transport_test):
 //  * per-client FIFO: events from one client arrive in publish/post order;
 //  * no loss, no duplication of published blocks;
@@ -28,14 +34,18 @@
 //    pending events and then refuses further publishes.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "common/status.hpp"
 #include "shm/segment.hpp"
 #include "transport/message.hpp"
+#include "transport/worker_demux.hpp"
 
 namespace dedicore::transport {
 
@@ -136,8 +146,10 @@ class ClientTransport {
 
 /// Server-side endpoint: the merged intake of all clients assigned to one
 /// server.  One server rank owns one instance; by default a single thread
-/// consumes it, but after set_worker_count(N) the instance supports N
-/// concurrent next_event() callers (a worker pool draining one intake).
+/// consumes it (worker 0), but after set_worker_count(N) the instance
+/// supports N concurrent next_event() callers (a worker pool draining one
+/// intake).  Both are the same path: the base class routes every event
+/// through its WorkerDemux, and a lone worker is a pool of one.
 ///
 /// Multi-worker contract (checked by tests/transport_test):
 ///  * every client is *owned* by exactly one worker at any instant, and
@@ -163,38 +175,36 @@ class ServerTransport {
 
   /// Declares `workers` concurrent next_event() consumers and the
   /// client→worker assignment policy (static pinning by default;
-  /// options.steal enables work stealing).  Call at most once, before
-  /// the first next_event(); without it the transport serves a single
-  /// consumer (worker 0).
-  virtual void set_worker_count(int workers,
-                                WorkerPoolOptions options = {}) {
-    (void)options;
-    DEDICORE_CHECK(workers == 1,
-                   "ServerTransport: backend supports a single consumer");
+  /// options.steal enables work stealing).  Call before the first
+  /// next_event() — a later call aborts; without it the transport serves
+  /// a single consumer (worker 0).
+  void set_worker_count(int workers, WorkerPoolOptions options = {}) {
+    demux_.set_worker_count(workers, options);
   }
 
-  /// Installs idle work for pooled backends: a worker about to park in
-  /// next_event() with nothing to consume, steal, or lead calls `hook`
-  /// (without transport locks) until it returns false ("no work").  The
-  /// server wires this to the write-behind queue so disk drain overlaps
-  /// event waits.  Single-consumer backends ignore it (their one worker
-  /// is never parked while useful work exists — the caller drains
-  /// opportunistically instead).  Install before the first next_event().
-  virtual void set_idle_hook(std::function<bool()> hook) { (void)hook; }
+  /// Installs idle work: a worker about to park in next_event() with
+  /// nothing to consume, steal, or lead calls `hook` (without transport
+  /// locks) until it returns false ("no work").  The server wires this to
+  /// the write-behind queue so disk drain overlaps event waits.  A lone
+  /// worker never parks — it leads every drain itself — so it never runs
+  /// the hook.  Install before the first next_event().
+  void set_idle_hook(std::function<bool()> hook) {
+    demux_.set_idle_hook(std::move(hook));
+  }
 
   /// Blocking: the next event addressed to worker `worker`, with any block
   /// payload locally resident.  nullopt when the transport was closed (or
   /// end_of_stream() was called) and every pending event for this worker
   /// has been drained.
-  virtual std::optional<Event> next_event(int worker) = 0;
-
-  /// Single-consumer convenience: worker 0's intake.
-  std::optional<Event> next_event() { return next_event(0); }
+  std::optional<Event> next_event(int worker = 0) {
+    return demux_.next(
+        worker, [this](std::vector<Event>& out) { return drain(out); },
+        events_received_);
+  }
 
   /// Wakes every worker blocked in next_event() once the stream is over;
   /// they drain what is already demuxed for them, then see nullopt.
-  /// No-op on single-consumer use (the caller's loop just stops calling).
-  virtual void end_of_stream() {}
+  virtual void end_of_stream() = 0;
 
   /// Read-only bytes of a block delivered by next_event().  Safe to call
   /// from any worker.
@@ -217,6 +227,26 @@ class ServerTransport {
   virtual void reclaim_client(int source) { (void)source; }
 
   [[nodiscard]] virtual TransportStats stats() const = 0;
+
+ protected:
+  /// The backend's blocking intake, run by one demux leader at a time
+  /// with no demux lock held: appends a non-empty batch to `out` and
+  /// returns true, or returns false once the stream is over (closed and
+  /// empty, or the end-of-stream sentinel).
+  virtual bool drain(std::vector<Event>& out) = 0;
+
+  /// Adds the intake counters the base class keeps (delivered events and
+  /// the demux's steal / idle-drain / cancellation counts) to `out`.
+  void add_intake_stats(TransportStats& out) const {
+    out.events_received = events_received_.load(std::memory_order_relaxed);
+    out.steals = demux_.steals();
+    out.idle_drains = demux_.idle_drains();
+    out.controls_cancelled = demux_.controls_cancelled();
+  }
+
+ private:
+  WorkerDemux demux_;
+  std::atomic<std::uint64_t> events_received_{0};
 };
 
 }  // namespace dedicore::transport

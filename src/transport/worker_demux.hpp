@@ -1,4 +1,6 @@
-// Leader-follower demux shared by the pooled server transports.
+// Leader-follower demux owned by the ServerTransport base class: every
+// server intake, of any worker count, runs through it (a lone worker is a
+// pool of one that always leads).
 //
 // One ServerTransport, N concurrent next_event() consumers: exactly one
 // worker at a time (the leader) runs the backend's blocking drain — queue
@@ -98,8 +100,6 @@ class WorkerDemux {
     last_client_.assign(static_cast<std::size_t>(workers_), kNoClient);
     backlog_totals_.assign(static_cast<std::size_t>(workers_), 0);
   }
-
-  [[nodiscard]] int workers() const noexcept { return workers_; }
 
   /// Installs the idle-work hook: invoked (without the pool lock) by a
   /// worker that would otherwise park with nothing to consume, steal, or

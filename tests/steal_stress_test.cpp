@@ -70,26 +70,22 @@ RoundResult run_round(int clients, int workers, std::uint32_t hot_blocks,
   server.set_worker_count(workers, options);
 
   std::atomic<int> fake_jobs{idle_jobs};
+  std::atomic<bool> job_claimed{false};
   if (idle_jobs > 0) {
     // Stands in for WriteBehind::drain_some(1): claims one unit of idle
     // work until the pool of fake jobs is dry.
-    server.set_idle_hook([&fake_jobs] {
-      return fake_jobs.fetch_sub(1, std::memory_order_relaxed) > 0;
+    server.set_idle_hook([&fake_jobs, &job_claimed] {
+      if (fake_jobs.fetch_sub(1, std::memory_order_relaxed) <= 0) return false;
+      job_claimed.store(true, std::memory_order_release);
+      return true;
     });
   }
 
-  std::vector<std::thread> producers;
-  producers.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    producers.emplace_back([&, c] {
-      transport::ShmClientTransport client(fabric, 0);
-      const std::uint32_t blocks = c == 0 ? hot_blocks : cold_blocks;
-      for (std::uint32_t b = 0; b < blocks; ++b)
-        ASSERT_TRUE(client.post(block_event(c, b)));
-      ASSERT_TRUE(client.post(stop_event(c)));
-    });
-  }
-
+  // The pool starts first.  With an idle hook the producers wait until a
+  // worker has claimed a fake job: one worker leads the (still empty)
+  // queue drain, so its peers have nothing to consume and must reach the
+  // hook.  Without the hold, a slow pool start (TSan) lets the producers
+  // finish first, and no worker is ever idle.
   std::vector<std::vector<Event>> per_worker(
       static_cast<std::size_t>(workers));
   std::atomic<int> stops{0};
@@ -104,6 +100,20 @@ RoundResult run_round(int clients, int workers, std::uint32_t hot_blocks,
           server.end_of_stream();
         }
       }
+    });
+  }
+
+  std::vector<std::thread> producers;
+  producers.reserve(static_cast<std::size_t>(clients));
+  for (int c = 0; c < clients; ++c) {
+    producers.emplace_back([&, c] {
+      while (idle_jobs > 0 && !job_claimed.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      transport::ShmClientTransport client(fabric, 0);
+      const std::uint32_t blocks = c == 0 ? hot_blocks : cold_blocks;
+      for (std::uint32_t b = 0; b < blocks; ++b)
+        ASSERT_TRUE(client.post(block_event(c, b)));
+      ASSERT_TRUE(client.post(stop_event(c)));
     });
   }
   for (auto& t : producers) t.join();

@@ -972,6 +972,85 @@ TEST(TransportConformanceTest, ShmCloseDrainsThenRefuses) {
   client.abandon(*ref);
 }
 
+// A lone consumer (no set_worker_count) is a pool of one: after it has
+// consumed every block and stop, end_of_stream() ends its intake, and the
+// next next_event() returns nullopt instead of blocking.  Server::run
+// shuts down this way at every width.
+TEST(TransportConformanceTest, SingleWorkerEndOfStreamEndsIntake) {
+  for (Backend backend : {Backend::kShm, Backend::kMpi}) {
+    SCOPED_TRACE(backend_name(backend));
+    constexpr int kClients = 2;
+    constexpr std::uint32_t kBlocks = 8;
+
+    HarnessOptions options;
+    options.clients = kClients;
+
+    run_backend(
+        backend, options,
+        [&](ClientTransport& client, int c) {
+          for (std::uint32_t b = 0; b < kBlocks; ++b) {
+            auto ref = client.acquire_blocking(128);
+            ASSERT_TRUE(ref.has_value());
+            publish_block(client, *ref, c, b, c * 100 + b);
+          }
+          post_stop(client, c);
+        },
+        [&](ServerTransport& server) {
+          std::uint32_t blocks = 0;
+          int stops = 0;
+          while (stops < kClients) {
+            auto event = server.next_event();
+            ASSERT_TRUE(event.has_value());
+            if (event->type == EventType::kClientStop) {
+              ++stops;
+              continue;
+            }
+            EXPECT_TRUE(block_matches(server, *event,
+                                      event->source * 100 + event->block_id));
+            ++blocks;
+            server.release(event->block);
+          }
+          server.end_of_stream();
+          EXPECT_FALSE(server.next_event().has_value());
+          EXPECT_EQ(blocks, kClients * kBlocks);
+          EXPECT_EQ(server.stats().events_received,
+                    static_cast<std::uint64_t>(kClients) * (kBlocks + 1));
+        });
+  }
+}
+
+// The worker count is fixed once consumption began: a late
+// set_worker_count aborts on both backends instead of re-sharding an
+// intake that is already handing out events.
+TEST(TransportConformanceDeathTest, LateSetWorkerCountAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        auto fabric = std::make_shared<transport::ShmFabric>(1 << 16, 1, 8);
+        transport::ShmClientTransport client(fabric, 0);
+        transport::ShmServerTransport server(fabric, 0);
+        post_stop(client, 0);
+        (void)server.next_event();
+        server.set_worker_count(2);
+      },
+      "after consumption began");
+  EXPECT_DEATH(
+      minimpi::run_world(2,
+                         [](minimpi::Comm& world) {
+                           if (world.rank() == 0) {
+                             transport::MpiClientTransport client(world, 1, 4096);
+                             post_stop(client, 0);
+                             return;
+                           }
+                           auto fabric = std::make_shared<transport::ShmFabric>(
+                               4096, /*queue_count=*/0, 8);
+                           transport::MpiServerTransport server(world, fabric);
+                           (void)server.next_event();
+                           server.set_worker_count(2);
+                         }),
+      "after consumption began");
+}
+
 // ---------------------------------------------------------------------------
 // Backpressure *policy* semantics end-to-end, in both deployment modes
 // ---------------------------------------------------------------------------
