@@ -27,7 +27,11 @@
 //      EmitStage + write-behind + posix backend), once raw and once with
 //      xor+lzs: bytes-to-disk, achieved ratio, dedicated-core codec time
 //      as a share of worker time (the §IV.D spare-cycle claim), and the
-//      effective MB/s of raw payload retired per wall second.
+//      effective MB/s of raw payload retired per wall second.  Its kernel
+//      rows time the two per-byte kernels of the dedicated core alone on
+//      fixed-seed CM1 fields: xor+lzs compress MB/s and stored/raw (gated
+//      against the ceiling recorded for the previous encoder), and CRC32C
+//      MB/s on the dispatched and on the table path.
 //   7. skewed clients + work stealing (this PR) — the same worker pool
 //      fed a pathological client mix (one client producing >= 75 % of the
 //      events) twice: once with static client->worker pinning and once
@@ -77,6 +81,7 @@
 #include "common/clock.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
+#include "compress/codec.hpp"
 #include "core/runtime.hpp"
 #include "fsim/filesystem.hpp"
 #include "minimpi/minimpi.hpp"
@@ -84,6 +89,7 @@
 #include "shm/segment.hpp"
 #include "sim/cm1_proxy.hpp"
 #include "sim/workload.hpp"
+#include "storage/crc32c.hpp"
 #include "storage/posix_backend.hpp"
 #include "storage/sharded_backend.hpp"
 #include "storage/write_behind.hpp"
@@ -669,6 +675,107 @@ CompressionBenchRow run_compression(const CompressionBenchConfig& cfg,
   std::error_code ec;
   fs::remove_all(scratch, ec);  // best-effort scratch cleanup
   return row;
+}
+
+// Kernel rows: the two per-byte kernels the dedicated core runs on every
+// persisted byte, timed in isolation on a fixed input — the xor+lzs codec
+// (EmitStage) and CRC32C (the sharded backend's chunk checksum).  Each
+// rate is the median of kKernelReps runs, with min and max.  The fields
+// are those of 3 CM1 ranks at outputs 10, 20, ..., 80, 3 steps per output.
+constexpr int kKernelReps = 5;
+constexpr std::size_t kKernelCrcBytes = 2u << 20;
+
+struct KernelBenchConfig {
+  std::uint64_t grid = 48;  ///< CM1 cube edge per rank (the e2e workloads')
+  /// stored/raw of the fixed field set under the encoder that hashed every
+  /// position inside a match (rounded up); the encoder may not store more.
+  double stored_per_raw_ceiling = 0.2757;
+  int crc_passes = 16;  ///< passes over the CRC buffer per timed run
+};
+
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+struct KernelBenchResult {
+  std::size_t fields = 0;
+  std::uint64_t raw_bytes = 0;
+  double stored_per_raw = 0.0;
+  bool verified = true;  ///< every field round-trips; both CRC paths agree
+  Spread xorlzs_mb_per_sec;
+  Spread crc_dispatched_mb_per_sec;
+  Spread crc_table_mb_per_sec;
+};
+
+/// Runs `fn` kKernelReps times; each run processes `bytes` bytes.
+template <typename Fn>
+Spread measure_mb_per_sec(std::uint64_t bytes, Fn&& fn) {
+  std::vector<double> rates;
+  for (int r = 0; r < kKernelReps; ++r) {
+    const auto start = Clock::now();
+    fn();
+    rates.push_back(static_cast<double>(bytes) / 1e6 / seconds_since(start));
+  }
+  std::sort(rates.begin(), rates.end());
+  return {rates[rates.size() / 2], rates.front(), rates.back()};
+}
+
+KernelBenchResult run_kernels(const KernelBenchConfig& cfg) {
+  namespace sim = dedicore::sim;
+  namespace compress = dedicore::compress;
+  namespace storage = dedicore::storage;
+  constexpr int kRanks = 3;
+  std::vector<std::vector<std::byte>> fields;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    sim::Cm1Config cm1;
+    cm1.nx = cm1.ny = cm1.nz = cfg.grid;
+    cm1.rank = rank;
+    cm1.world_size = kRanks;
+    sim::Cm1Proxy proxy(cm1);
+    for (int output = 1; output <= 80; ++output) {
+      for (int s = 0; s < 3; ++s) proxy.step();
+      if (output % 10 != 0) continue;
+      for (const auto& [name, bytes] : proxy.field_bytes())
+        fields.emplace_back(bytes.begin(), bytes.end());
+    }
+  }
+
+  KernelBenchResult result;
+  result.fields = fields.size();
+  for (const auto& field : fields) result.raw_bytes += field.size();
+  const compress::Codec* codec = compress::find_codec("xor+lzs");
+  std::uint64_t stored = 0;
+  result.xorlzs_mb_per_sec =
+      measure_mb_per_sec(result.raw_bytes, [&] {
+        stored = 0;
+        for (const auto& field : fields)
+          stored += std::min(codec->compress(field).size(), field.size());
+      });
+  result.stored_per_raw =
+      static_cast<double>(stored) / static_cast<double>(result.raw_bytes);
+  for (const auto& field : fields)
+    result.verified = result.verified &&
+                      codec->decompress(codec->compress(field), field.size()) ==
+                          field;
+
+  std::vector<std::byte> buffer(kKernelCrcBytes);
+  Rng rng(0xC4C32);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng.next_below(256));
+  const std::uint64_t crc_bytes =
+      static_cast<std::uint64_t>(cfg.crc_passes) * buffer.size();
+  std::uint32_t dispatched = 0, table = 0;
+  result.crc_dispatched_mb_per_sec =
+      measure_mb_per_sec(crc_bytes, [&] {
+        for (int pass = 0; pass < cfg.crc_passes; ++pass)
+          dispatched = storage::crc32c_extend(dispatched, buffer);
+      });
+  result.crc_table_mb_per_sec = measure_mb_per_sec(crc_bytes, [&] {
+    for (int pass = 0; pass < cfg.crc_passes; ++pass)
+      table = storage::crc32c_extend_table(table, buffer);
+  });
+  // Both chains ran the same passes over the same bytes.
+  result.verified = result.verified && dispatched == table;
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -1342,6 +1449,8 @@ std::string format_json(const std::string& mode,
                         const ShardedBenchResult& sharded,
                         const CompressionBenchConfig& compress_cfg,
                         const std::vector<CompressionBenchRow>& compression,
+                        const KernelBenchConfig& kernel_cfg,
+                        const KernelBenchResult& kernels,
                         const DeathBenchConfig& death_cfg,
                         const DeathBenchResult& death) {
   std::ostringstream out;
@@ -1454,6 +1563,25 @@ std::string format_json(const std::string& mode,
         << (i + 1 < compression.size() ? "," : "") << "\n";
   }
   out << "    ]\n  },\n";
+  auto spread = [&out](const char* key, const Spread& v) {
+    out << "\"" << key << "\": {\"median\": " << v.median
+        << ", \"min\": " << v.min << ", \"max\": " << v.max << "}";
+  };
+  out << "  \"kernels\": {\n";
+  out << "    \"grid\": " << kernel_cfg.grid << ", \"fields\": " << kernels.fields
+      << ", \"raw_bytes\": " << kernels.raw_bytes
+      << ", \"reps\": " << kKernelReps << ",\n    ";
+  out.precision(1);
+  spread("xorlzs_compress_mb_per_sec", kernels.xorlzs_mb_per_sec);
+  out.precision(4);
+  out << ",\n    \"xorlzs_stored_per_raw\": " << kernels.stored_per_raw
+      << ", \"stored_per_raw_ceiling\": " << kernel_cfg.stored_per_raw_ceiling
+      << ",\n    \"crc32c_bytes\": " << kKernelCrcBytes << ",\n    ";
+  out.precision(1);
+  spread("crc32c_dispatched_mb_per_sec", kernels.crc_dispatched_mb_per_sec);
+  out << ",\n    ";
+  spread("crc32c_table_mb_per_sec", kernels.crc_table_mb_per_sec);
+  out << "\n  },\n";
   out << "  \"client_death\": {\n";
   out << "    \"clients\": " << death_cfg.clients
       << ", \"workers\": " << death_cfg.workers
@@ -1517,6 +1645,7 @@ int main(int argc, char** argv) {
   PosixBenchConfig posix_cfg;
   ShardedBenchConfig sharded_cfg;
   CompressionBenchConfig compress_cfg;
+  KernelBenchConfig kernel_cfg;
   DeathBenchConfig death_cfg;
   if (smoke) {
     churn.capacity = 1ull << 24;
@@ -1538,6 +1667,9 @@ int main(int argc, char** argv) {
     sharded_cfg.budget_bytes = 1ull << 20;
     compress_cfg.iterations = 4;
     compress_cfg.grid = 16;
+    kernel_cfg.grid = 24;
+    kernel_cfg.stored_per_raw_ceiling = 0.4155;  // same rule, 24^3 fields
+    kernel_cfg.crc_passes = 2;
     death_cfg.blocks_per_client = 600;
     death_cfg.kill_after = 150;
   }
@@ -1703,6 +1835,34 @@ int main(int argc, char** argv) {
         row.effective_mb_per_sec);
   }
 
+  const KernelBenchResult kernels = run_kernels(kernel_cfg);
+  std::printf(
+      "kernels, %zu CM1 %llu^3 fields: xor+lzs %.1f MB/s (%.1f-%.1f), "
+      "stored/raw %.4f (ceiling %.4f); crc32c dispatched %.1f MB/s "
+      "(%.1f-%.1f), table %.1f MB/s (%.1f-%.1f)\n",
+      kernels.fields, static_cast<unsigned long long>(kernel_cfg.grid),
+      kernels.xorlzs_mb_per_sec.median, kernels.xorlzs_mb_per_sec.min,
+      kernels.xorlzs_mb_per_sec.max, kernels.stored_per_raw,
+      kernel_cfg.stored_per_raw_ceiling,
+      kernels.crc_dispatched_mb_per_sec.median,
+      kernels.crc_dispatched_mb_per_sec.min,
+      kernels.crc_dispatched_mb_per_sec.max,
+      kernels.crc_table_mb_per_sec.median, kernels.crc_table_mb_per_sec.min,
+      kernels.crc_table_mb_per_sec.max);
+  // Structural gates, any scale: the kernels compute what they did, and a
+  // faster encoder may not buy its speed with a worse ratio.
+  if (!kernels.verified) {
+    std::fprintf(stderr,
+                 "FAIL: a kernel field did not round-trip or the CRC32C "
+                 "paths disagree\n");
+    return 1;
+  }
+  if (kernels.stored_per_raw > kernel_cfg.stored_per_raw_ceiling) {
+    std::fprintf(stderr, "FAIL: xor+lzs stored/raw %.4f exceeds %.4f\n",
+                 kernels.stored_per_raw, kernel_cfg.stored_per_raw_ceiling);
+    return 1;
+  }
+
   DeathBenchResult death;
   death.mode = scaling_mode;
   death.healthy_events_per_sec =
@@ -1736,7 +1896,7 @@ int main(int argc, char** argv) {
       format_json(smoke ? "smoke" : "full", allocator_rows, queue_rows,
                   worker_rows, scaling_mode, skew_cfg, skew, mpi_cfg, mpi,
                   posix_cfg, posix, sharded_cfg, sharded, compress_cfg,
-                  compression, death_cfg, death);
+                  compression, kernel_cfg, kernels, death_cfg, death);
   if (!json_path.empty()) {
     if (json_path == "-") {
       std::cout << json;

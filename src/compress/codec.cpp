@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -191,7 +192,8 @@ class XorDeltaCodec final : public Codec {
 };
 
 // ---------------------------------------------------------------------------
-// LZS: greedy LZ77 with a hash table of 3-byte prefixes, 64 KiB window.
+// LZS: greedy LZ77 with a single-probe hash table of 4-byte prefixes and a
+// 64 KiB window.
 // Token stream: control varint C.
 //   C even -> literal run of C/2 bytes.
 //   C odd  -> match: length = (C-1)/2 (>= 4), followed by varint distance.
@@ -205,18 +207,46 @@ class LzsCodec final : public Codec {
   static constexpr std::size_t kMinMatch = 4;
   static constexpr std::size_t kMaxMatch = 1 << 16;
   static constexpr std::size_t kHashBits = 15;
+  /// Positions at the start and at the end of a match whose hashes are
+  /// inserted.  Matches run up to 64 KiB over the zero words of an
+  /// XOR-delta stream, and hashing every position inside them cost more
+  /// than the rest of the encoder.  The last few positions are the nearest
+  /// reference for the data that follows; without them a short-period
+  /// input (a staircase of repeated values) encodes about a third larger.
+  static constexpr std::size_t kHeadInserts = 16;
+  static constexpr std::size_t kTailInserts = 8;
 
   [[nodiscard]] std::vector<std::byte> compress(
       std::span<const std::byte> in) const override {
     std::vector<std::byte> out;
     out.reserve(in.size() / 2 + 16);
     std::vector<std::uint32_t> head(1u << kHashBits, 0xFFFFFFFFu);
+    const std::byte* const p = in.data();
 
-    auto hash3 = [&](std::size_t pos) -> std::uint32_t {
-      std::uint32_t h = std::to_integer<std::uint8_t>(in[pos]);
-      h = h * 131 + std::to_integer<std::uint8_t>(in[pos + 1]);
-      h = h * 131 + std::to_integer<std::uint8_t>(in[pos + 2]);
-      return (h * 2654435761u) >> (32 - kHashBits);
+    auto hash4 = [p](std::size_t pos) -> std::uint32_t {
+      std::uint32_t v = 0;
+      std::memcpy(&v, p + pos, 4);
+      return (v * 2654435761u) >> (32 - kHashBits);
+    };
+    // Length of the common prefix of p[a..] and p[b..], at most `limit`:
+    // compared a word at a time, the first differing byte found from the
+    // XOR of the two words.
+    auto common_prefix = [p](std::size_t a, std::size_t b,
+                             std::size_t limit) -> std::size_t {
+      std::size_t n = 0;
+      for (; n + 8 <= limit; n += 8) {
+        std::uint64_t x = 0, y = 0;
+        std::memcpy(&x, p + a + n, 8);
+        std::memcpy(&y, p + b + n, 8);
+        if (const std::uint64_t diff = x ^ y; diff != 0) {
+          if constexpr (std::endian::native == std::endian::little)
+            return n + static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+          else
+            return n + static_cast<std::size_t>(std::countl_zero(diff)) / 8;
+        }
+      }
+      while (n < limit && p[a + n] == p[b + n]) ++n;
+      return n;
     };
 
     std::size_t i = 0;
@@ -231,24 +261,25 @@ class LzsCodec final : public Codec {
     };
 
     while (i + kMinMatch <= in.size()) {
-      const std::uint32_t h = hash3(i);
+      const std::uint32_t h = hash4(i);
       const std::uint32_t candidate = head[h];
       head[h] = static_cast<std::uint32_t>(i);
 
       std::size_t match_len = 0;
-      if (candidate != 0xFFFFFFFFu && i - candidate <= kWindow) {
-        const std::size_t limit = std::min(in.size() - i, kMaxMatch);
-        while (match_len < limit && in[candidate + match_len] == in[i + match_len])
-          ++match_len;
-      }
+      if (candidate != 0xFFFFFFFFu && i - candidate <= kWindow)
+        match_len = common_prefix(candidate, i, std::min(in.size() - i, kMaxMatch));
       if (match_len >= kMinMatch) {
         flush_literals(i);
         put_varint(out, static_cast<std::uint64_t>(match_len) * 2 + 1);
         put_varint(out, static_cast<std::uint64_t>(i - candidate));
         // Insert hashes inside the match so later data can reference it.
-        const std::size_t insert_end = std::min(i + match_len, in.size() - kMinMatch);
-        for (std::size_t j = i + 1; j < insert_end; ++j)
-          head[hash3(j)] = static_cast<std::uint32_t>(j);
+        const std::size_t end = std::min(i + match_len, in.size() - kMinMatch + 1);
+        const std::size_t head_end = std::min(end, i + kHeadInserts);
+        for (std::size_t j = i + 1; j < head_end; ++j)
+          head[hash4(j)] = static_cast<std::uint32_t>(j);
+        for (std::size_t j = std::max(head_end, end - std::min(end, kTailInserts));
+             j < end; ++j)
+          head[hash4(j)] = static_cast<std::uint32_t>(j);
         i += match_len;
         literal_start = i;
       } else {

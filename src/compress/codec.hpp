@@ -9,7 +9,11 @@
 //  * "rle"    — byte-level run-length encoding (baseline);
 //  * "xor"    — word-wise XOR-delta transform + zero-run encoding, the
 //               right shape for smooth f32/f64 fields;
-//  * "lzs"    — greedy hash-chain LZ with a 64 KiB window (general data);
+//  * "lzs"    — greedy LZ with a 64 KiB window (general data): one probe
+//               per position into a table of the last position seen for
+//               each 4-byte prefix, matches extended 8 bytes at a time, and
+//               only the first 16 and last 8 positions of a match hashed
+//               into the table, so long matches cost almost nothing;
 //  * "xor+lzs"— the transform followed by LZ, the default pipeline of the
 //               Damaris compression plugin.
 //

@@ -297,55 +297,60 @@ void FileBuilder::add_dataset_chunked(GroupId gid, std::string_view name,
   const std::uint64_t n_chunks = product(grid);
   std::vector<std::byte> chunk_buf;
   for (std::uint64_t c = 0; c < n_chunks; ++c) {
-    // Extent of this chunk (edge chunks trimmed).
-    std::vector<std::uint64_t> lo(rank), extent(rank);
-    std::uint64_t chunk_elems = 1;
-    for (std::size_t i = 0; i < rank; ++i) {
-      lo[i] = coord[i] * chunk_dims[i];
-      extent[i] = std::min(chunk_dims[i], dims[i] - lo[i]);
-      chunk_elems *= extent[i];
-    }
-    chunk_buf.resize(chunk_elems * elem);
-
-    // Copy the chunk out row by row along the innermost dimension.
-    std::vector<std::uint64_t> idx(rank, 0);  // within-chunk index
-    const std::uint64_t inner = extent[rank - 1];
-    std::uint64_t written = 0;
-    for (;;) {
-      std::uint64_t src_elem = 0;
-      for (std::size_t i = 0; i < rank; ++i)
-        src_elem += (lo[i] + idx[i]) * stride[i];
-      std::memcpy(chunk_buf.data() + written * elem,
-                  data.data() + src_elem * elem, inner * elem);
-      written += inner;
-      // Advance idx over all but the innermost dimension.
-      std::size_t dim = rank - 1;
-      for (;;) {
-        if (dim == 0) goto chunk_done;
-        --dim;
-        if (++idx[dim] < extent[dim]) break;
-        idx[dim] = 0;
+    // A one-chunk grid is the whole array: it goes to the codec as is.
+    std::span<const std::byte> chunk = data;
+    if (n_chunks > 1) {
+      // Extent of this chunk (edge chunks trimmed).
+      std::vector<std::uint64_t> lo(rank), extent(rank);
+      std::uint64_t chunk_elems = 1;
+      for (std::size_t i = 0; i < rank; ++i) {
+        lo[i] = coord[i] * chunk_dims[i];
+        extent[i] = std::min(chunk_dims[i], dims[i] - lo[i]);
+        chunk_elems *= extent[i];
       }
-      if (rank == 1) break;
+      chunk_buf.resize(chunk_elems * elem);
+
+      // Copy the chunk out row by row along the innermost dimension.
+      std::vector<std::uint64_t> idx(rank, 0);  // within-chunk index
+      const std::uint64_t inner = extent[rank - 1];
+      std::uint64_t written = 0;
+      for (;;) {
+        std::uint64_t src_elem = 0;
+        for (std::size_t i = 0; i < rank; ++i)
+          src_elem += (lo[i] + idx[i]) * stride[i];
+        std::memcpy(chunk_buf.data() + written * elem,
+                    data.data() + src_elem * elem, inner * elem);
+        written += inner;
+        // Advance idx over all but the innermost dimension.
+        std::size_t dim = rank - 1;
+        for (;;) {
+          if (dim == 0) goto chunk_done;
+          --dim;
+          if (++idx[dim] < extent[dim]) break;
+          idx[dim] = 0;
+        }
+        if (rank == 1) break;
+      }
+    chunk_done:;
+      DEDICORE_CHECK(written == chunk_elems, "h5lite: chunk copy accounting");
+      chunk = chunk_buf;
     }
-  chunk_done:;
-    DEDICORE_CHECK(written == chunk_elems, "h5lite: chunk copy accounting");
 
     DatasetRecord::Chunk entry;
     entry.offset = image_.size();
-    entry.raw = chunk_buf.size();
+    entry.raw = chunk.size();
     if (const compress::Codec* cc = compress::find_codec(codec)) {
-      std::vector<std::byte> packed = cc->compress(chunk_buf);
-      if (packed.size() < chunk_buf.size()) {
+      std::vector<std::byte> packed = cc->compress(chunk);
+      if (packed.size() < chunk.size()) {
         entry.stored = packed.size();
         image_.insert(image_.end(), packed.begin(), packed.end());
       } else {
         entry.stored = entry.raw;  // stored == raw means "not compressed"
-        image_.insert(image_.end(), chunk_buf.begin(), chunk_buf.end());
+        image_.insert(image_.end(), chunk.begin(), chunk.end());
       }
     } else {
       entry.stored = entry.raw;
-      image_.insert(image_.end(), chunk_buf.begin(), chunk_buf.end());
+      image_.insert(image_.end(), chunk.begin(), chunk.end());
     }
     d.chunks.push_back(entry);
 

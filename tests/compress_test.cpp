@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <thread>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -82,7 +84,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllCodecsAllSizes, CodecRoundTripTest,
     ::testing::Combine(::testing::Values(CodecId::kRle, CodecId::kXorDelta,
                                          CodecId::kLzs, CodecId::kXorLzs),
-                       ::testing::Values(0, 1, 7, 8, 63, 1024, 65537)),
+                       ::testing::Values(0, 1, 7, 8, 9, 15, 17, 63, 1024,
+                                         65536, 65537, 65543, 131081)),
     [](const auto& info) {
       const CodecId id = std::get<0>(info.param);
       const std::size_t size = std::get<1>(info.param);
@@ -112,6 +115,77 @@ TEST(CodecTest, SmoothFloatFieldReachesPaperLikeRatio) {
   const double ratio = compression_ratio(input.size(), packed.size());
   EXPECT_GE(ratio, 4.0) << "got ratio " << ratio;
   EXPECT_EQ(codec->decompress(packed, input.size()), input);
+}
+
+// ---------------------------------------------------------------------------
+// Stream compatibility: payloads written by an earlier encoder must decode.
+// The encoder may change which matches it finds; the token grammar and the
+// decoders may not, or images already on disk stop reading.
+// ---------------------------------------------------------------------------
+
+/// 2 KiB of float64: a constant base state, a staircase (each value four
+/// times) and a sawtooth, all exactly representable so the input needs no
+/// libm and is the same on every host.
+std::vector<std::byte> golden_input() {
+  std::vector<double> values(256, 300.0);
+  for (int i = 64; i < 192; ++i) values[i] = 300.0 + 0.125 * ((i - 64) / 4);
+  for (int i = 192; i < 224; ++i) values[i] = 301.5 + 0.25 * (i % 8);
+  return to_bytes(values);
+}
+
+std::vector<std::byte> golden_payload(std::initializer_list<unsigned> bytes) {
+  std::vector<std::byte> out;
+  for (unsigned b : bytes) out.push_back(static_cast<std::byte>(b));
+  return out;
+}
+
+// Made from golden_input() by the single-probe 3-byte-hash encoder that
+// hashed every position inside a match.
+const std::vector<std::byte> kGoldenLzs = golden_payload({
+    0x02, 0x00, 0x09, 0x01, 0x08, 0xc0, 0x72, 0x40, 0x00, 0x09, 0x01, 0xb1,
+    0x08, 0x08, 0x02, 0xc2, 0x3f, 0x08, 0x02, 0xc4, 0x3f, 0x08, 0x02, 0xc6,
+    0x3f, 0x08, 0x02, 0xc8, 0x3f, 0x08, 0x02, 0xca, 0x3f, 0x08, 0x02, 0xcc,
+    0x3f, 0x08, 0x02, 0xce, 0x3f, 0x08, 0x02, 0xd0, 0x3f, 0x08, 0x02, 0xd2,
+    0x3f, 0x08, 0x02, 0xd4, 0x3f, 0x08, 0x02, 0xd6, 0x3f, 0x08, 0x02, 0xd8,
+    0x3f, 0x08, 0x02, 0xda, 0x3f, 0x08, 0x02, 0xdc, 0x3f, 0x08, 0x02, 0xde,
+    0x3f, 0x08, 0x02, 0xe0, 0x3f, 0x08, 0x02, 0xe2, 0x3f, 0x08, 0x02, 0xe4,
+    0x3f, 0x08, 0x02, 0xe6, 0x3f, 0x08, 0x02, 0xe8, 0x3f, 0x08, 0x02, 0xea,
+    0x3f, 0x08, 0x02, 0xec, 0x3f, 0x08, 0x02, 0xee, 0x3f, 0x08, 0x02, 0xf0,
+    0x3f, 0x08, 0x02, 0xf2, 0x3f, 0x08, 0x02, 0xf4, 0x3f, 0x08, 0x02, 0xf6,
+    0x3f, 0x08, 0x02, 0xf8, 0x3f, 0x08, 0x02, 0xfa, 0x3f, 0x08, 0x02, 0xfc,
+    0x3f, 0x08, 0x02, 0xfe, 0x3f, 0x08, 0x11, 0xe8, 0x04, 0x11, 0xb0, 0x04,
+    0x11, 0xf8, 0x03, 0x11, 0xc0, 0x03, 0x11, 0x88, 0x03, 0x11, 0xd0, 0x02,
+    0x11, 0x98, 0x02, 0x11, 0xe0, 0x01, 0x81, 0x03, 0x40, 0x11, 0xe8, 0x09,
+    0xe7, 0x03, 0x08});
+
+const std::vector<std::byte> kGoldenXorLzs = golden_payload({
+    0x02, 0x00, 0x09, 0x01, 0x08, 0xc0, 0x72, 0x40, 0x00, 0xb9, 0x08, 0x01,
+    0x04, 0x02, 0x00, 0x3d, 0x01, 0x04, 0x06, 0x00, 0x3d, 0x01, 0x41, 0x40,
+    0x04, 0x0e, 0x00, 0x3d, 0x01, 0x41, 0x40, 0x81, 0x01, 0x80, 0x01, 0x04,
+    0x1e, 0x00, 0x3d, 0x01, 0x41, 0x40, 0x81, 0x01, 0x80, 0x01, 0x81, 0x02,
+    0x80, 0x02, 0x04, 0x3e, 0x00, 0x3d, 0x01, 0x41, 0x40, 0x81, 0x01, 0x80,
+    0x01, 0x81, 0x02, 0x80, 0x02, 0x81, 0x04, 0x80, 0x04, 0x04, 0x26, 0x00,
+    0x0d, 0x01, 0x04, 0x04, 0x00, 0x0d, 0x01, 0x04, 0x3c, 0x00, 0x0d, 0x01,
+    0x11, 0x10, 0x04, 0x0c, 0x00, 0x0d, 0x01, 0x11, 0x10, 0x04, 0x1c, 0x00,
+    0x0d, 0x01, 0x11, 0x10, 0x04, 0x2c, 0x00, 0x0d, 0x01, 0x11, 0x10, 0xe1,
+    0x02, 0x40, 0x04, 0x34, 0x00, 0xf3, 0x03, 0x01});
+
+TEST(CodecCompatTest, EarlierEncoderPayloadsStillDecode) {
+  const auto input = golden_input();
+  ASSERT_EQ(input.size(), 2048u);
+  EXPECT_EQ(find_codec(CodecId::kLzs)->decompress(kGoldenLzs, input.size()),
+            input);
+  EXPECT_EQ(
+      find_codec(CodecId::kXorLzs)->decompress(kGoldenXorLzs, input.size()),
+      input);
+  // The current encoder's own payloads decode too and are no larger.
+  for (const auto& [id, golden] :
+       {std::pair{CodecId::kLzs, &kGoldenLzs},
+        std::pair{CodecId::kXorLzs, &kGoldenXorLzs}}) {
+    const auto packed = find_codec(id)->compress(input);
+    EXPECT_EQ(find_codec(id)->decompress(packed, input.size()), input);
+    EXPECT_LE(packed.size(), golden->size()) << codec_name(id);
+  }
 }
 
 TEST(CodecTest, XorBeatsRleOnSmoothData) {

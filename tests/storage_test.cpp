@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/baseline_io.hpp"
 #include "core/emit_stage.hpp"
 #include "core/runtime.hpp"
@@ -571,6 +572,56 @@ TEST(Crc32cTest, IncrementalExtendMatchesOneShot) {
   auto copy = data;
   copy[1234] ^= std::byte{0x10};
   EXPECT_NE(storage::crc32c(copy), whole);
+}
+
+// crc32c_extend may dispatch to the SSE4.2 instruction; the table path is
+// the oracle it must match on every length, alignment and split.  On a
+// host without SSE4.2 both sides run the table and the test still passes.
+TEST(Crc32cTest, DispatchedPathMatchesTable) {
+  const std::string nine = "123456789";
+  const auto nine_bytes =
+      std::as_bytes(std::span<const char>(nine.data(), nine.size()));
+  EXPECT_EQ(storage::crc32c_extend(0, nine_bytes), 0xE3069283u);
+  EXPECT_EQ(storage::crc32c_extend_table(0, nine_bytes), 0xE3069283u);
+
+  Rng rng(0xC4C32);
+  std::vector<std::byte> data((1u << 20) + 7 + 16);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_below(256));
+  const std::span<const std::byte> all(data);
+
+  for (std::size_t len = 0; len <= 1100; ++len)
+    ASSERT_EQ(storage::crc32c(all.first(len)),
+              storage::crc32c_extend_table(0, all.first(len)))
+        << "length " << len;
+  const auto big = all.first((1u << 20) + 7);
+  EXPECT_EQ(storage::crc32c(big), storage::crc32c_extend_table(0, big));
+
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 1021}) {
+      const auto view = all.subspan(offset, len);
+      ASSERT_EQ(storage::crc32c(view), storage::crc32c_extend_table(0, view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+
+  // Incremental extends, split at random points, agree with the one-shot
+  // table checksum; each piece also starts from a nonzero running CRC.
+  const auto region = all.first(64 * 1024 + 13);
+  const std::uint32_t whole = storage::crc32c_extend_table(0, region);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::uint32_t crc = 0;
+    std::size_t at = 0;
+    while (at < region.size()) {
+      const std::size_t n = std::min<std::size_t>(
+          rng.next_below(3000), region.size() - at);
+      const auto piece = region.subspan(at, n);
+      const std::uint32_t next = storage::crc32c_extend(crc, piece);
+      ASSERT_EQ(next, storage::crc32c_extend_table(crc, piece));
+      crc = next;
+      at += n;
+    }
+    EXPECT_EQ(crc, whole) << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------------------
